@@ -23,7 +23,6 @@ from .graph import (
 )
 from .linalg import (
     MembershipCertificate,
-    RationalMatrix,
     adjacency_matrix,
     is_row,
     nullity,

@@ -12,7 +12,7 @@ from typing import IO
 from .families import FAMILY_NAMES, build
 from .graph import diameter
 from .graph6 import write_graph6
-from .harness import check_size_bound, resolve_oracle_limit, run_verification
+from .harness import MAX_ORACLE_LIMIT, check_size_bound, resolve_oracle_limit, run_verification
 from .linalg import adjacency_matrix, rank
 from .oracle import exhaustive_verify
 
@@ -100,8 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-", help="graph6 file, one graph per line ('-' = stdin)")
     p.add_argument("--out", default="-", help="JSONL output file ('-' = stdout)")
     p.add_argument("--oracle-limit", type=int, default=None,
-                   help="largest n for the exhaustive fallback (default: "
-                        "$ROWSPACE_ORACLE_LIMIT or 16)")
+                   help=f"largest n for the exhaustive fallback, 0..{MAX_ORACLE_LIMIT} "
+                        "(default: $ROWSPACE_ORACLE_LIMIT or 16)")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.set_defaults(handler=_cmd_verify)
 

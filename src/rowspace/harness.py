@@ -29,19 +29,28 @@ from .linalg import adjacency_matrix, rank
 from .witness import DEFAULT_ORACLE_LIMIT, Strategy, find_witness
 
 ORACLE_LIMIT_ENV = "ROWSPACE_ORACLE_LIMIT"
+#: Largest accepted oracle bound: the oracle scans 2^n candidates.
+MAX_ORACLE_LIMIT = 20
 
 
 def resolve_oracle_limit(explicit: int | None = None) -> int:
-    """Explicit value, else the ROWSPACE_ORACLE_LIMIT env var, else 16."""
+    """Explicit value, else the ROWSPACE_ORACLE_LIMIT env var, else 16.
+
+    Raises ValueError for a value outside 0..MAX_ORACLE_LIMIT.
+    """
     if explicit is not None:
-        return explicit
-    env = os.environ.get(ORACLE_LIMIT_ENV)
-    if env is not None:
+        limit, source = explicit, "oracle limit"
+    else:
+        env = os.environ.get(ORACLE_LIMIT_ENV)
+        if env is None:
+            return DEFAULT_ORACLE_LIMIT
         try:
-            return int(env)
+            limit, source = int(env), ORACLE_LIMIT_ENV
         except ValueError:
             raise ValueError(f"{ORACLE_LIMIT_ENV}={env!r} is not an integer")
-    return DEFAULT_ORACLE_LIMIT
+    if not 0 <= limit <= MAX_ORACLE_LIMIT:
+        raise ValueError(f"{source} {limit} is outside 0..{MAX_ORACLE_LIMIT}")
+    return limit
 
 
 def _fraction_str(value: Fraction) -> str:
@@ -53,6 +62,7 @@ class VerificationRecord:
     graph6: str
     status: str
     elapsed_ms: int
+    elapsed_us: int = 0
     n: int | None = None
     edges: int | None = None
     diameter: int | None = None  # None means infinite once n is set
@@ -76,6 +86,7 @@ class VerificationRecord:
         if self.reason is not None:
             out["reason"] = self.reason
         out["elapsed_ms"] = self.elapsed_ms
+        out["elapsed_us"] = self.elapsed_us
         return out
 
 
@@ -126,17 +137,20 @@ def effective_lines(lines: Iterable[str]) -> Iterator[str]:
             yield line
 
 
+def _stamped(record: VerificationRecord, start: float) -> VerificationRecord:
+    us = round((time.perf_counter() - start) * 1_000_000)
+    record.elapsed_us = us
+    record.elapsed_ms = round(us / 1000)
+    return record
+
+
 def _verify_line(args: tuple[str, int, tuple[str, ...] | None]) -> VerificationRecord:
     line, oracle_limit, enabled = args
     start = time.perf_counter()
-
-    def ms() -> int:
-        return round((time.perf_counter() - start) * 1000)
-
     try:
         g = parse_graph6(line)
     except Graph6ParseError as exc:
-        return VerificationRecord(line, "error", ms(), reason=str(exc))
+        return _stamped(VerificationRecord(line, "error", 0, reason=str(exc)), start)
     diam = diameter(g)
     record = VerificationRecord(
         graph6=line,
@@ -150,8 +164,7 @@ def _verify_line(args: tuple[str, int, tuple[str, ...] | None]) -> VerificationR
     if g.size == 0:
         record.status = "skipped"
         record.reason = "graph has no edge; the searched property assumes one"
-        record.elapsed_ms = ms()
-        return record
+        return _stamped(record, start)
     w = find_witness(g, oracle_limit, enabled=enabled)
     if w is not None:
         record.strategy = w.strategy.value
@@ -171,8 +184,7 @@ def _verify_line(args: tuple[str, int, tuple[str, ...] | None]) -> VerificationR
                 f"no constructive strategy applied and n={g.n} exceeds "
                 f"the oracle bound {oracle_limit}"
             )
-    record.elapsed_ms = ms()
-    return record
+    return _stamped(record, start)
 
 
 def run_verification(

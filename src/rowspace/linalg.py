@@ -1,10 +1,11 @@
-"""Exact rational dense linear algebra for adjacency-matrix work.
+"""Exact integer linear algebra for adjacency-matrix work.
 
-Everything here is exact: matrices hold arbitrary-precision ``Fraction``
-entries, rank is computed by fraction-free (integer-preserving) Gaussian
-elimination, and row-space membership answers come with a coefficient
-certificate that is re-verified by exact multiplication before it is
-returned.
+Everything here is exact and fraction-free: matrices are lists of integer
+rows, rank is the pivot count of a fraction-free (Bareiss) row echelon
+form, and row-space membership answers come with a certificate of integer
+numerators over one common denominator D, re-verified in integers
+(sum of num_u * row_u equals D * x) before it is returned. ``Fraction``
+appears only where the certificate is handed out.
 
 Membership is decided over the rationals. That loses nothing against the
 reals: a linear system with rational coefficients and rational right-hand
@@ -16,48 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .graph import Graph
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense row-major matrix of rationals."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-        # Fraction() normalizes to lowest terms with positive denominator.
-        object.__setattr__(self, "entries", tuple(Fraction(e) for e in self.entries))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> RationalMatrix:
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(nrows, ncols, tuple(e for r in rows for e in r))
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def transpose(self) -> RationalMatrix:
-        return RationalMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
 
 
 @dataclass(frozen=True)
@@ -68,12 +30,16 @@ class MembershipCertificate:
     target: tuple[int, ...]
 
 
-def adjacency_matrix(g: Graph) -> RationalMatrix:
-    """Symmetric 0/1 matrix with zero diagonal, in the graph's vertex order."""
-    entries = tuple(
-        Fraction((g.adj[i] >> j) & 1) for i in range(g.n) for j in range(g.n)
-    )
-    return RationalMatrix(g.n, g.n, entries)
+def adjacency_matrix(g: Graph) -> list[list[int]]:
+    """Symmetric 0/1 integer rows with zero diagonal, in the graph's vertex order."""
+    return [[(nb >> j) & 1 for j in range(g.n)] for nb in g.adj]
+
+
+def _width(rows: Sequence[Sequence[int]]) -> int:
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged rows")
+    return ncols
 
 
 def integer_row_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
@@ -127,22 +93,10 @@ def integer_row_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]],
     return work[:piv_r], pivot_cols
 
 
-def _integer_rows(M: RationalMatrix) -> list[list[int]]:
-    # Row scaling by the denominator lcm preserves rank and row space.
-    out = []
-    for i in range(M.rows):
-        row = M.row(i)
-        scale = lcm(*(e.denominator for e in row)) if row else 1
-        out.append([int(e * scale) for e in row])
-    return out
-
-
-def rank(M: RationalMatrix) -> int:
-    """Rank over the rationals via fraction-free Gaussian elimination."""
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    _, pivot_cols = integer_row_echelon(_integer_rows(M))
-    return len(pivot_cols)
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals: the pivot count of the integer echelon form."""
+    _width(rows)
+    return len(integer_row_echelon(rows)[1])
 
 
 def nullity(g: Graph) -> int:
@@ -150,71 +104,50 @@ def nullity(g: Graph) -> int:
     return g.n - rank(adjacency_matrix(g))
 
 
-def combine_rows(M: RationalMatrix, coefficients: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-    """The row-space element sum(coefficients[i] * row_i), i.e. M^t c."""
-    if len(coefficients) != M.rows:
-        raise ValueError("one coefficient per row required")
-    out = [Fraction(0)] * M.cols
-    for i, c in enumerate(coefficients):
-        if c:
-            row = M.row(i)
-            for j in range(M.cols):
-                if row[j]:
-                    out[j] += c * row[j]
-    return tuple(out)
+def solve_membership(rows: Sequence[Sequence[int]], x: Sequence[int]) -> MembershipCertificate | None:
+    """Certificate c with sum(c_u * rows[u]) = x if x lies in the row space, else None.
 
-
-def solve_membership(M: RationalMatrix, x: Sequence[int]) -> MembershipCertificate | None:
-    """Certificate c with M^t c = x if x lies in the row space of M, else None.
-
-    The solution is the one produced by elimination order with all free
-    variables set to zero, so identical inputs give identical certificates.
-    The certificate is re-verified by exact multiplication before return.
+    One Bareiss pass over the augmented system (equation i: column i of the
+    rows dotted with c equals x[i]) picks the same pivots as Gaussian
+    elimination, and all free variables are set to zero, so identical inputs
+    give identical certificates. Back-substitution yields integer numerators
+    over the common denominator D, the last pivot: by Cramer's rule D times
+    the solution is integral. The identity sum(num_u * rows[u]) = D * x is
+    re-verified in integers before return.
     """
-    if len(x) != M.cols:
-        raise ValueError(f"vector has length {len(x)}, matrix has {M.cols} columns")
-    ncoef = M.rows
-    # Equation i: column i of M dotted with c equals x[i].
-    aug = [
-        [M.at(k, i) for k in range(ncoef)] + [Fraction(x[i])]
-        for i in range(M.cols)
-    ]
-    piv_r = 0
-    pivots: list[int] = []
-    for piv_c in range(ncoef):
-        pr = next((r for r in range(piv_r, len(aug)) if aug[r][piv_c]), None)
-        if pr is None:
-            continue
-        aug[piv_r], aug[pr] = aug[pr], aug[piv_r]
-        pivot_row = aug[piv_r]
-        pivot = pivot_row[piv_c]
-        for r in range(piv_r + 1, len(aug)):
-            f = aug[r][piv_c]
-            if f:
-                aug[r] = [a - f / pivot * b for a, b in zip(aug[r], pivot_row)]
-        pivots.append(piv_c)
-        piv_r += 1
-    for r in range(piv_r, len(aug)):
-        if aug[r][ncoef] != 0:
-            return None
-    coeffs = [Fraction(0)] * ncoef
+    ncols = _width(rows)
+    if len(x) != ncols:
+        raise ValueError(f"vector has length {len(x)}, matrix has {ncols} columns")
+    ncoef = len(rows)
+    target = tuple(int(e) for e in x)
+    aug = [list(col) + [b] for col, b in zip(zip(*rows), target)]
+    echelon, pivots = integer_row_echelon(aug)
+    if pivots and pivots[-1] == ncoef:
+        return None
+    denom = echelon[-1][pivots[-1]] if pivots else 1
+    nums = [0] * ncoef
     for r in range(len(pivots) - 1, -1, -1):
-        pc = pivots[r]
-        s = aug[r][ncoef]
-        for j in range(pc + 1, ncoef):
-            s -= aug[r][j] * coeffs[j]
-        coeffs[pc] = s / aug[r][pc]
-    if combine_rows(M, coeffs) != tuple(Fraction(e) for e in x):
+        row = echelon[r]
+        s = denom * row[ncoef] - sum(row[pc] * nums[pc] for pc in pivots[r + 1 :])
+        nums[pivots[r]] = s // row[pivots[r]]
+    acc = [0] * ncols
+    for num, row in zip(nums, rows):
+        if num:
+            for j, a in enumerate(row):
+                if a:
+                    acc[j] += num * a
+    if acc != [denom * b for b in target]:
         raise RuntimeError("certificate failed exact re-verification")
-    return MembershipCertificate(tuple(coeffs), tuple(int(e) for e in x))
+    return MembershipCertificate(tuple(Fraction(num, denom) for num in nums), target)
 
 
-def is_row(M: RationalMatrix, x: Sequence[int]) -> int | None:
+def is_row(rows: Sequence[Sequence[int]], x: Sequence[int]) -> int | None:
     """Smallest index of a row equal to x, or None."""
-    if len(x) != M.cols:
-        raise ValueError(f"vector has length {len(x)}, matrix has {M.cols} columns")
-    target = tuple(Fraction(e) for e in x)
-    for i in range(M.rows):
-        if M.row(i) == target:
+    ncols = _width(rows)
+    if len(x) != ncols:
+        raise ValueError(f"vector has length {len(x)}, matrix has {ncols} columns")
+    target = list(x)
+    for i, row in enumerate(rows):
+        if list(row) == target:
             return i
     return None

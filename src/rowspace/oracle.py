@@ -62,8 +62,7 @@ def _reduces_to_zero(echelon: list[list[int]], pivots: list[int], x: list[int]) 
 
 
 def _adjacency_echelon(g: Graph) -> tuple[list[list[int]], list[int]]:
-    rows = [[(nb >> j) & 1 for j in range(g.n)] for nb in g.adj]
-    return integer_row_echelon(rows)
+    return integer_row_echelon(adjacency_matrix(g))
 
 
 def brute_force_witness(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> OracleResult:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import families
 from .graph import (
@@ -102,10 +103,13 @@ def _mask_vector(mask: int, n: int) -> tuple[int, ...]:
 
 
 def verify_witness(g: Graph, w: Witness) -> bool:
-    """Exact check of every witness invariant.
+    """Exact check of every witness invariant, in integers.
 
     True iff the vector is non-zero and 0/1-valued, the certificate targets
     it and reproduces it exactly under A^t c, and it equals no row of A(g).
+    With D the lcm of the coefficient denominators and p_u = D c_u, the
+    product is checked as sum(p_u * A[u]) = D x by direct summation over the
+    adjacency bitsets, sharing no code with the solver.
     """
     x = w.vector
     c = w.certificate.coefficients
@@ -115,12 +119,14 @@ def verify_witness(g: Graph, w: Witness) -> bool:
         return False
     if tuple(w.certificate.target) != x:
         return False
-    acc = [_ZERO] * g.n
+    denom = lcm(*(cu.denominator for cu in c))
+    acc = [0] * g.n
     for u, cu in enumerate(c):
         if cu:
+            p = cu.numerator * (denom // cu.denominator)
             for v in iter_bits(g.adj[u]):
-                acc[v] += cu
-    if any(acc[v] != x[v] for v in range(g.n)):
+                acc[v] += p
+    if any(acc[v] != denom * x[v] for v in range(g.n)):
         return False
     return _vector_mask(x) not in g.adj
 

@@ -35,6 +35,20 @@ class TestVerify:
         assert len(records) == 3
         assert all(r["status"] == "ok" for r in records)
 
+    def test_oracle_limit_out_of_range(self, tmp_path, capsys, monkeypatch):
+        source = tmp_path / "graphs.g6"
+        source.write_text("C~\n")
+        out = tmp_path / "report.jsonl"
+        args = ["verify", "--input", str(source), "--out", str(out)]
+        assert main(args + ["--oracle-limit", "-1"]) == 2
+        assert "outside 0..20" in capsys.readouterr().err
+        assert main(args + ["--oracle-limit", "21"]) == 2
+        monkeypatch.setenv("ROWSPACE_ORACLE_LIMIT", "40")
+        assert main(args) == 2
+        assert main(["exhaustive", "--n", "3"]) == 2
+        assert "ROWSPACE_ORACLE_LIMIT" in capsys.readouterr().err
+        assert main(args + ["--oracle-limit", "20"]) == 0
+
     def test_error_exit_code(self, tmp_path):
         source = tmp_path / "graphs.g6"
         source.write_text("C~\nnot-a-graph6-line!!!\n")

@@ -8,6 +8,7 @@ from rowspace.families import build
 from rowspace.graph import Graph
 from rowspace.graph6 import parse_graph6, write_graph6
 from rowspace.harness import (
+    MAX_ORACLE_LIMIT,
     SizeBoundRecord,
     check_size_bound,
     effective_lines,
@@ -51,6 +52,22 @@ class TestResolveOracleLimit:
         monkeypatch.setenv("ROWSPACE_ORACLE_LIMIT", "many")
         with pytest.raises(ValueError):
             resolve_oracle_limit()
+
+    @pytest.mark.parametrize("value", [-1, MAX_ORACLE_LIMIT + 1, 40])
+    def test_out_of_range_rejected(self, monkeypatch, value):
+        monkeypatch.delenv("ROWSPACE_ORACLE_LIMIT", raising=False)
+        with pytest.raises(ValueError, match=f"outside 0..{MAX_ORACLE_LIMIT}"):
+            resolve_oracle_limit(value)
+        monkeypatch.setenv("ROWSPACE_ORACLE_LIMIT", str(value))
+        with pytest.raises(ValueError, match="ROWSPACE_ORACLE_LIMIT"):
+            resolve_oracle_limit()
+
+    def test_range_ends_accepted(self, monkeypatch):
+        monkeypatch.delenv("ROWSPACE_ORACLE_LIMIT", raising=False)
+        assert resolve_oracle_limit(MAX_ORACLE_LIMIT) == MAX_ORACLE_LIMIT
+        assert resolve_oracle_limit(0) == 0
+        monkeypatch.setenv("ROWSPACE_ORACLE_LIMIT", str(MAX_ORACLE_LIMIT))
+        assert resolve_oracle_limit() == MAX_ORACLE_LIMIT
 
 
 class TestRunVerification:
@@ -120,7 +137,8 @@ class TestRunVerification:
         serial = [r.to_json() for r in run_verification(lines)]
         parallel = [r.to_json() for r in run_verification(lines, jobs=2)]
         for a, b in zip(serial, parallel):
-            a.pop("elapsed_ms"), b.pop("elapsed_ms")
+            for key in ("elapsed_ms", "elapsed_us"):
+                a.pop(key), b.pop(key)
             assert a == b
 
     def test_record_json_shape(self):
@@ -129,8 +147,9 @@ class TestRunVerification:
         assert payload["certificate"] == ["1/2", "1/2", "1/2"]
         assert set(payload) == {
             "graph6", "status", "n", "edges", "diameter", "rank",
-            "strategy", "witness", "certificate", "elapsed_ms",
+            "strategy", "witness", "certificate", "elapsed_ms", "elapsed_us",
         }
+        assert payload["elapsed_ms"] == round(payload["elapsed_us"] / 1000)
 
 
 class TestCheckSizeBound:

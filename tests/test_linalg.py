@@ -1,46 +1,62 @@
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs
+import fraction_reference as reference
+from conftest import connected_graphs, graphs
 from rowspace.families import build
 from rowspace.graph import Graph, multiply_vertices
 from rowspace.linalg import (
-    RationalMatrix,
     adjacency_matrix,
-    combine_rows,
     integer_row_echelon,
     is_row,
     nullity,
     rank,
     solve_membership,
 )
+from rowspace.oracle import iter_connected_graphs
+from rowspace.witness import find_witness
 
 HALF = Fraction(1, 2)
 
 
-def sympy_rank(M: RationalMatrix) -> int:
-    return sympy.Matrix(M.rows, M.cols, [sympy.Rational(e) for e in M.entries]).rank()
+def sympy_rank(rows) -> int:
+    return sympy.Matrix([[sympy.Rational(e) for e in row] for row in rows]).rank()
 
 
-class TestRationalMatrix:
-    def test_entries_normalized(self):
-        M = RationalMatrix(1, 2, (Fraction(2, 4), Fraction(3, -6)))
-        assert M.entries == (HALF, -HALF)
+def scaled_rows(rows) -> list[list[int]]:
+    """Rational rows scaled to integers by each row's denominator lcm,
+    which preserves rank and row space."""
+    out = []
+    for row in rows:
+        scale = lcm(*(Fraction(e).denominator for e in row))
+        out.append([int(Fraction(e) * scale) for e in row])
+    return out
 
+
+def transpose(rows) -> list[list[int]]:
+    return [list(col) for col in zip(*rows)]
+
+
+class TestIntegerRows:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            RationalMatrix(2, 2, (Fraction(1),) * 3)
+            rank([[1, 2], [3]])
         with pytest.raises(ValueError):
-            RationalMatrix.from_rows([[1, 2], [3]])
+            solve_membership([[1, 2], [3]], (1, 1))
+        with pytest.raises(ValueError):
+            is_row([[1, 2], [3]], (1, 2))
 
     def test_transpose_round_trip(self):
-        M = RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
-        assert M.transpose().transpose() == M
-        assert M.transpose().at(2, 1) == 6
+        rows = [[1, 2, 3], [4, 5, 6]]
+        assert transpose(transpose(rows)) == rows
+        assert transpose(rows)[2][1] == 6
+        assert rank(rows) == rank(transpose(rows)) == 2
 
 
 class TestAdjacencyMatrix:
@@ -53,7 +69,8 @@ class TestAdjacencyMatrix:
             [1, 0, 0, 0, 0],
             [1, 0, 0, 0, 0],
         ]
-        assert M == RationalMatrix.from_rows(expected)
+        assert M == expected
+        assert all(type(e) is int for row in M for e in row)
 
     def test_c5_with_twin_matches_pinned_matrix(self):
         M = adjacency_matrix(build("c5-with-twin"))
@@ -65,11 +82,10 @@ class TestAdjacencyMatrix:
             [1, 0, 0, 1, 0, 1],
             [0, 0, 1, 0, 1, 0],
         ]
-        assert M == RationalMatrix.from_rows(expected)
+        assert M == expected
 
     def test_edgeless_graph_is_zero_matrix(self):
-        M = adjacency_matrix(Graph(3, (0, 0, 0)))
-        assert all(e == 0 for e in M.entries)
+        assert adjacency_matrix(Graph(3, (0, 0, 0))) == [[0, 0, 0]] * 3
 
 
 class TestRank:
@@ -88,11 +104,13 @@ class TestRank:
         assert rank(adjacency_matrix(build(family, size))) == expected
 
     def test_zero_matrix(self):
-        assert rank(RationalMatrix(3, 3, (Fraction(0),) * 9)) == 0
+        assert rank([[0] * 3] * 3) == 0
+        assert rank([]) == 0
 
     def test_rational_entries(self):
-        M = RationalMatrix.from_rows([[HALF, 1], [Fraction(1, 3), Fraction(2, 3)]])
-        assert rank(M) == sympy_rank(M) == 1
+        rows = [[HALF, 1], [Fraction(1, 3), Fraction(2, 3)]]
+        assert scaled_rows(rows) == [[1, 2], [1, 2]]
+        assert rank(scaled_rows(rows)) == sympy_rank(rows) == 1
 
     @settings(max_examples=120, deadline=None)
     @given(graphs(max_n=8))
@@ -103,7 +121,7 @@ class TestRank:
     @given(graphs(max_n=6))
     def test_rank_of_transpose(self, g):
         M = adjacency_matrix(g)
-        assert rank(M) == rank(M.transpose())
+        assert rank(M) == rank(transpose(M))
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(max_n=6), st.data())
@@ -128,8 +146,7 @@ class TestRank:
         )
     )
     def test_matches_sympy_on_rational_matrices(self, rows):
-        M = RationalMatrix.from_rows(rows)
-        assert rank(M) == sympy_rank(M)
+        assert rank(scaled_rows(rows)) == sympy_rank(rows)
 
 
 class TestNullity:
@@ -144,30 +161,41 @@ class TestSolveMembership:
         M = adjacency_matrix(build("star", 4))
         cert = solve_membership(M, (1, 1, 1, 1, 1))
         assert cert is not None
-        assert combine_rows(M, cert.coefficients) == (1, 1, 1, 1, 1)
+        assert reference.combine_rows(M, cert.coefficients) == (1, 1, 1, 1, 1)
         # the hand combination of the first two rows also certifies it
-        assert combine_rows(M, (1, 1, 0, 0, 0)) == (1, 1, 1, 1, 1)
+        assert reference.combine_rows(M, (1, 1, 0, 0, 0)) == (1, 1, 1, 1, 1)
 
     def test_pinned_half_integer_combination(self):
         M = adjacency_matrix(build("rank5-2"))
         cert = solve_membership(M, (1,) * 6)
         assert cert is not None
-        assert combine_rows(M, (HALF, -HALF, 0, 0, HALF, 1)) == (1,) * 6
+        assert reference.combine_rows(M, (HALF, -HALF, 0, 0, HALF, 1)) == (1,) * 6
 
     def test_zero_matrix_has_trivial_row_space(self):
-        M = RationalMatrix(3, 3, (Fraction(0),) * 9)
+        M = [[0] * 3] * 3
         assert solve_membership(M, (1, 0, 0)) is None
         assert solve_membership(M, (0, 0, 0)) is not None
+
+    def test_coefficients_in_lowest_terms(self):
+        # D is a Bareiss pivot, not the least denominator: the Fractions
+        # handed out must still be normalized, with positive denominators.
+        cert = solve_membership(adjacency_matrix(build("complete", 4)), (1, 1, 1, 1))
+        assert cert is not None
+        assert [(c.numerator, c.denominator) for c in cert.coefficients] == [(1, 3)] * 4
+        cert = solve_membership(adjacency_matrix(build("rank5-2")), (1,) * 6)
+        assert cert is not None
+        assert cert.coefficients == (-HALF, HALF, 1, 0, HALF, 0)
+        assert all(c.denominator in (1, 2) for c in cert.coefficients)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             solve_membership(adjacency_matrix(build("cycle", 3)), (1, 0))
 
     def test_non_square_matrix(self):
-        M = RationalMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+        M = [[1, 0, 1], [0, 1, 1]]
         cert = solve_membership(M, (1, 1, 2))
         assert cert is not None
-        assert combine_rows(M, cert.coefficients) == (1, 1, 2)
+        assert reference.combine_rows(M, cert.coefficients) == (1, 1, 2)
         assert solve_membership(M, (1, 1, 0)) is None
 
     @settings(max_examples=100, deadline=None)
@@ -175,10 +203,10 @@ class TestSolveMembership:
     def test_every_row_is_a_member(self, g, data):
         M = adjacency_matrix(g)
         i = data.draw(st.integers(0, g.n - 1))
-        row = tuple(int(e) for e in M.row(i))
+        row = tuple(M[i])
         cert = solve_membership(M, row)
         assert cert is not None
-        assert combine_rows(M, cert.coefficients) == tuple(Fraction(e) for e in row)
+        assert reference.combine_rows(M, cert.coefficients) == tuple(Fraction(e) for e in row)
 
     @settings(max_examples=100, deadline=None)
     @given(graphs(max_n=6), st.data())
@@ -186,8 +214,7 @@ class TestSolveMembership:
         M = adjacency_matrix(g)
         x = tuple(data.draw(st.integers(0, 1)) for _ in range(g.n))
         member = solve_membership(M, x) is not None
-        rows = [[int(e) for e in M.row(i)] for i in range(M.rows)]
-        augmented_rank = len(integer_row_echelon(rows + [list(x)])[1])
+        augmented_rank = len(integer_row_echelon(M + [list(x)])[1])
         assert member == (augmented_rank == rank(M))
 
 
@@ -207,6 +234,44 @@ class TestIsRow:
     def test_own_rows_found(self, g, data):
         M = adjacency_matrix(g)
         k = data.draw(st.integers(0, g.n - 1))
-        found = is_row(M, tuple(int(e) for e in M.row(k)))
+        found = is_row(M, tuple(M[k]))
         assert found is not None
-        assert M.row(found) == M.row(k)
+        assert M[found] == M[k]
+
+
+class TestDifferentialAgainstFractionReference:
+    """The integer solver must return the Fraction reference's certificate
+    exactly, or None where the reference does."""
+
+    def test_every_connected_graph_up_to_six(self):
+        rng = random.Random(2204_02689)
+        solves = members = 0
+        for n in range(2, 7):
+            for g in iter_connected_graphs(n):
+                M = adjacency_matrix(g)
+                vectors = [find_witness(g).vector]
+                vectors += [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(2)]
+                for x in vectors:
+                    cert = solve_membership(M, x)
+                    assert cert == reference.solve_membership(M, x), (g.adj, x)
+                    solves += 1
+                    members += cert is not None
+        assert solves == 3 * 27475
+        assert 27475 < members < solves
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_n=12), st.data())
+    def test_hypothesis_graphs_up_to_twelve(self, g, data):
+        M = adjacency_matrix(g)
+        x = tuple(data.draw(st.integers(0, 1)) for _ in range(g.n))
+        i, j = data.draw(st.integers(0, g.n - 1)), data.draw(st.integers(0, g.n - 1))
+        combo = tuple(a + b for a, b in zip(M[i], M[j]))
+        for target in (x, combo):
+            assert solve_membership(M, target) == reference.solve_membership(M, target)
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(min_n=7, max_n=12))
+    def test_connected_graphs_witness_vectors(self, g):
+        M = adjacency_matrix(g)
+        x = find_witness(g).vector
+        assert solve_membership(M, x) == reference.solve_membership(M, x)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fraction_reference as reference
 from conftest import graphs, long_diameter_graphs
 from rowspace.families import build
 from rowspace.graph import (
@@ -13,7 +14,7 @@ from rowspace.graph import (
     duplicate_vertex,
     multiply_vertices,
 )
-from rowspace.linalg import MembershipCertificate, adjacency_matrix, combine_rows, solve_membership
+from rowspace.linalg import MembershipCertificate, adjacency_matrix, solve_membership
 from rowspace.witness import (
     LiftedVectorIsRowError,
     Strategy,
@@ -163,7 +164,7 @@ class TestCatalog:
         for index in (1, 2, 3, 4):
             g = build(f"rank5-{index}")
             w = witness_catalog_rank5(g).witness
-            combo = combine_rows(adjacency_matrix(g), w.certificate.coefficients)
+            combo = reference.combine_rows(adjacency_matrix(g), w.certificate.coefficients)
             assert combo == tuple(Fraction(x) for x in w.vector)
 
     def test_miss(self):
@@ -323,3 +324,43 @@ class TestVerifyWitness:
         g = build("complete", 3)
         cert = MembershipCertificate((Fraction(1), Fraction(1)), (1, 1))
         assert not verify_witness(g, Witness((1, 1), cert, Strategy.ORACLE))
+        cert = MembershipCertificate((Fraction(1, 2),) * 2, (1, 1, 1))
+        assert not verify_witness(g, Witness((1, 1, 1), cert, Strategy.ORACLE))
+        cert = MembershipCertificate((Fraction(1, 2),) * 4, (1, 1, 1))
+        assert not verify_witness(g, Witness((1, 1, 1), cert, Strategy.ORACLE))
+
+    # On C4 the rows R_0 + R_1 give all-ones; adding the kernel vectors
+    # (1, 0, -1, 0)/3 and (0, 1, 0, -1)/2 keeps the product and mixes the
+    # denominators, so the common denominator D is their lcm, 6.
+    C4_MIXED = (Fraction(4, 3), Fraction(3, 2), Fraction(-1, 3), Fraction(-1, 2))
+
+    def test_accepts_mixed_denominators(self):
+        cert = MembershipCertificate(self.C4_MIXED, (1, 1, 1, 1))
+        assert verify_witness(build("cycle", 4), Witness((1, 1, 1, 1), cert, Strategy.ORACLE))
+
+    def test_rejects_coefficient_off_by_one_over_d(self):
+        g = build("cycle", 4)
+        for k in range(4):
+            for delta in (Fraction(1, 6), Fraction(-1, 6)):
+                coeffs = list(self.C4_MIXED)
+                coeffs[k] += delta
+                cert = MembershipCertificate(tuple(coeffs), (1, 1, 1, 1))
+                assert not verify_witness(g, Witness((1, 1, 1, 1), cert, Strategy.ORACLE))
+        g = build("complete", 4)
+        coeffs = (Fraction(2, 3),) + (Fraction(1, 3),) * 3
+        cert = MembershipCertificate(coeffs, (1, 1, 1, 1))
+        assert not verify_witness(g, Witness((1, 1, 1, 1), cert, Strategy.COMPLETE))
+
+    def test_rejects_mixed_denominators_that_miss(self):
+        g = build("cycle", 4)
+        coeffs = (Fraction(4, 3), Fraction(3, 2), Fraction(-1, 3), Fraction(-3, 10))
+        cert = MembershipCertificate(coeffs, (1, 1, 1, 1))
+        assert not verify_witness(g, Witness((1, 1, 1, 1), cert, Strategy.ORACLE))
+
+    def test_rejects_target_differing_from_vector(self):
+        g = build("cycle", 4)
+        w = find_witness(g)
+        assert verify_witness(g, w)
+        other = (1, 1, 1, 0) if w.vector != (1, 1, 1, 0) else (1, 1, 0, 1)
+        cert = MembershipCertificate(w.certificate.coefficients, other)
+        assert not verify_witness(g, Witness(w.vector, cert, w.strategy))
