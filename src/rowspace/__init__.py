@@ -11,7 +11,6 @@ from .graph import (
     Graph,
     PathWitnessContext,
     connected_components,
-    degree,
     diameter,
     diametral_geodesic,
     duplicate_vertex,
@@ -39,7 +38,6 @@ from .families import (
 )
 from .witness import (
     DEFAULT_ORACLE_LIMIT,
-    LiftedVectorIsRowError,
     Strategy,
     StrategyOutcome,
     Witness,

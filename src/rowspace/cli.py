@@ -30,17 +30,20 @@ def _open_output(stack: ExitStack, path: str) -> IO[str]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    errors = 0
+    """Exit 3 if any record is a counterexample, else 1 if any line failed
+    to parse, else 0."""
+    statuses = set()
     with ExitStack() as stack:
         source = _open_input(stack, args.input)
         sink = _open_output(stack, args.out)
         for record in run_verification(
             source, oracle_limit=args.oracle_limit, jobs=args.jobs
         ):
-            if record.status == "error":
-                errors += 1
+            statuses.add(record.status)
             sink.write(json.dumps(record.to_json()) + "\n")
-    return 1 if errors else 0
+    if "no-witness-found" in statuses:
+        return 3
+    return 1 if "error" in statuses else 0
 
 
 def _cmd_exhaustive(args: argparse.Namespace) -> int:

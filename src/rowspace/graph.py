@@ -103,21 +103,19 @@ class Graph:
         return all(self.adj[i] == full ^ (1 << i) for i in range(self.n))
 
     def is_connected(self) -> bool:
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= self.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << self.n) - 1
+        return reachable(self.adj, 1) == (1 << self.n) - 1
 
 
-def degree(g: Graph, v: int) -> int:
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    return g.degree(v)
+def reachable(adj: Sequence[int], seen: int) -> int:
+    """Bitset of the vertices reachable in ``adj`` from the vertex set ``seen``."""
+    frontier = seen
+    while frontier:
+        nxt = 0
+        for v in iter_bits(frontier):
+            nxt |= adj[v]
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen
 
 
 def is_dominating(g: Graph, v: int) -> bool:
@@ -205,15 +203,7 @@ def connected_components(g: Graph) -> list[list[int]]:
     components = []
     remaining = (1 << g.n) - 1
     while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for w in iter_bits(frontier):
-                nxt |= g.adj[w]
-            frontier = nxt & ~seen
-            seen |= frontier
+        seen = reachable(g.adj, remaining & -remaining)
         components.append(list(iter_bits(seen)))
         remaining &= ~seen
     return components

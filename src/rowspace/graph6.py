@@ -62,6 +62,8 @@ def parse_graph6(line: str) -> Graph:
     nchars = (nbits + 5) // 6
     if len(line) > data_start + nchars:
         raise Graph6ParseError("trailing garbage after graph6 data", data_start + nchars)
+    if len(line) < data_start + nchars:
+        raise Graph6ParseError("truncated graph6 line", len(line))
     adj = [0] * n
     bit_index = 0
     i, j = 0, 1
@@ -79,8 +81,6 @@ def parse_graph6(line: str) -> Graph:
             i += 1
             if i == j:
                 i, j = 0, j + 1
-    if bit_index != nbits:
-        raise Graph6ParseError("truncated graph6 line", len(line))
     return Graph(n, tuple(adj))
 
 

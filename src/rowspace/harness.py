@@ -193,10 +193,12 @@ def run_verification(
     strategies_enabled: Sequence[str] | None = None,
     jobs: int = 1,
 ) -> Iterator[VerificationRecord]:
-    """One record per effective input line, in input order."""
+    """One record per effective input line, in input order. At most
+    ``os.cpu_count()`` worker processes run, however large ``jobs`` is."""
     limit = resolve_oracle_limit(oracle_limit)
     enabled = tuple(strategies_enabled) if strategies_enabled is not None else None
     work = ((line, limit, enabled) for line in effective_lines(lines))
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         for item in work:
             yield _verify_line(item)

@@ -16,11 +16,13 @@ supported sizes (n <= 7).
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing import Pool
+from typing import Iterator
 
-from .graph import Graph, iter_bits
+from .graph import Graph, reachable
 from .graph6 import write_graph6
 from .linalg import adjacency_matrix, integer_row_echelon, solve_membership
 from .witness import DEFAULT_ORACLE_LIMIT, Strategy, Witness, find_witness
@@ -61,16 +63,13 @@ def _reduces_to_zero(echelon: list[list[int]], pivots: list[int], x: list[int]) 
     return not any(y)
 
 
-def _adjacency_echelon(g: Graph) -> tuple[list[list[int]], list[int]]:
-    return integer_row_echelon(adjacency_matrix(g))
-
-
-def brute_force_witness(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> OracleResult:
-    """First witness in candidate scan order, with a solved certificate."""
+def _scan(g: Graph, limit: int) -> Iterator[tuple[int, tuple[int, ...] | None]]:
+    """Every witness in ascending binary order, each with the number of
+    non-row candidates checked so far; a final ``(checked, None)`` carries
+    the total."""
     if g.n > limit:
         raise CapacityError(f"n={g.n} exceeds the oracle bound {limit}")
-    start = time.perf_counter()
-    echelon, pivots = _adjacency_echelon(g)
+    echelon, pivots = integer_row_echelon(adjacency_matrix(g))
     row_masks = set(g.adj)
     checked = 0
     for mask in range(1, 1 << g.n):
@@ -79,32 +78,33 @@ def brute_force_witness(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> OracleRe
         checked += 1
         x = [(mask >> j) & 1 for j in range(g.n)]
         if _reduces_to_zero(echelon, pivots, x):
-            vector = tuple(x)
-            cert = solve_membership(adjacency_matrix(g), vector)
-            if cert is None:
-                raise RuntimeError("echelon reduction and exact solve disagree")
-            witness = Witness(vector, cert, Strategy.ORACLE)
-            return OracleResult(True, witness, checked, time.perf_counter() - start)
-    return OracleResult(False, None, checked, time.perf_counter() - start)
+            yield checked, tuple(x)
+    yield checked, None
+
+
+def brute_force_witness(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> OracleResult:
+    """First witness in candidate scan order, with a solved certificate."""
+    start = time.perf_counter()
+    checked, vector = next(_scan(g, limit))
+    if vector is None:
+        return OracleResult(False, None, checked, time.perf_counter() - start)
+    cert = solve_membership(adjacency_matrix(g), vector)
+    if cert is None:
+        raise RuntimeError("echelon reduction and exact solve disagree")
+    witness = Witness(vector, cert, Strategy.ORACLE)
+    return OracleResult(True, witness, checked, time.perf_counter() - start)
 
 
 def enumerate_all_witnesses(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> list[tuple[int, ...]]:
     """Every qualifying (0,1)-vector, in ascending binary order."""
-    if g.n > limit:
-        raise CapacityError(f"n={g.n} exceeds the oracle bound {limit}")
-    echelon, pivots = _adjacency_echelon(g)
-    row_masks = set(g.adj)
-    out = []
-    for mask in range(1, 1 << g.n):
-        if mask in row_masks:
-            continue
-        x = [(mask >> j) & 1 for j in range(g.n)]
-        if _reduces_to_zero(echelon, pivots, x):
-            out.append(tuple(x))
-    return out
+    return [x for _, x in _scan(g, limit) if x is not None]
 
 
 def _edge_pairs(n: int) -> list[tuple[int, int]]:
+    if n > GENERATOR_LIMIT:
+        raise CapacityError(
+            f"built-in generator covers n <= {GENERATOR_LIMIT}; feed graph6 input instead"
+        )
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
@@ -118,42 +118,31 @@ def _mask_graph(n: int, mask: int, pairs: list[tuple[int, int]]) -> Graph | None
         i, j = pairs[low.bit_length() - 1]
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    if seen != (1 << n) - 1:
+    if reachable(adj, 1) != (1 << n) - 1:
         return None
     return Graph(n, tuple(adj))
 
 
-def iter_connected_graphs(n: int):
-    """All labeled connected graphs with >= 1 edge on n vertices."""
-    if n > GENERATOR_LIMIT:
-        raise CapacityError(
-            f"built-in generator covers n <= {GENERATOR_LIMIT}; feed graph6 input instead"
-        )
+def _connected_graphs(n: int, start: int, stop: int) -> Iterator[Graph]:
+    """Connected graphs of the edge-subset masks in [max(start, 1), stop)."""
     pairs = _edge_pairs(n)
-    for mask in range(1, 1 << len(pairs)):
+    for mask in range(max(start, 1), stop):
         g = _mask_graph(n, mask, pairs)
         if g is not None:
             yield g
 
 
+def iter_connected_graphs(n: int) -> Iterator[Graph]:
+    """All labeled connected graphs with >= 1 edge on n vertices."""
+    return _connected_graphs(n, 1, 1 << len(_edge_pairs(n)))
+
+
 def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[int, list[str], dict[str, int]]:
     n, start, stop, oracle_limit = args
-    pairs = _edge_pairs(n)
     checked = 0
     failures: list[str] = []
     histogram: dict[str, int] = {}
-    for mask in range(max(start, 1), stop):
-        g = _mask_graph(n, mask, pairs)
-        if g is None:
-            continue
+    for g in _connected_graphs(n, start, stop):
         checked += 1
         w = find_witness(g, oracle_limit)
         if w is None:
@@ -174,15 +163,13 @@ def exhaustive_verify(
     ``failures`` lists (as graph6) every graph for which no witness exists;
     an empty list means the searched property held throughout. With
     ``jobs`` > 1 the edge-mask index range is partitioned across worker
-    processes and the partial reports are merged.
+    processes, at most ``os.cpu_count()`` of them, and the partial reports
+    are merged.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > GENERATOR_LIMIT:
-        raise CapacityError(
-            f"built-in generator covers n <= {GENERATOR_LIMIT}; feed graph6 input instead"
-        )
-    total = 1 << (n * (n - 1) // 2)
+    total = 1 << len(_edge_pairs(n))
+    jobs = min(jobs, os.cpu_count() or 1)
     report = ExhaustiveReport(n=n, graphs_checked=0)
     if jobs <= 1:
         parts = [_scan_chunk((n, 0, total, oracle_limit))]

@@ -33,17 +33,18 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from . import families
 from .graph import (
     Graph,
+    _validated_multiplicities,
     connected_components,
     diametral_geodesic,
     find_adjacent_disjoint_pair,
     induced_subgraph,
     iter_bits,
-    multiply_vertices,
 )
 from .linalg import MembershipCertificate
 
@@ -75,27 +76,10 @@ class Witness:
 
 @dataclass(frozen=True)
 class StrategyOutcome:
-    applicable: bool
+    """The witness a strategy produced, or None and the reason it declined."""
+
     witness: Witness | None = None
     reason: str | None = None
-
-
-class LiftedVectorIsRowError(Exception):
-    """A lifted vector turned out to occur as a row of the blown-up graph.
-
-    Membership lifting alone does not rule this out, so it is reported as a
-    recoverable strategy failure rather than an internal error. It cannot
-    happen when the input witness is valid: rows of the blow-up are exactly
-    the block-repeats of original rows, and block-repetition is injective.
-    """
-
-
-def _vector_mask(vector: tuple[int, ...]) -> int:
-    mask = 0
-    for v, x in enumerate(vector):
-        if x:
-            mask |= 1 << v
-    return mask
 
 
 def _mask_vector(mask: int, n: int) -> tuple[int, ...]:
@@ -128,44 +112,44 @@ def verify_witness(g: Graph, w: Witness) -> bool:
                 acc[v] += p
     if any(acc[v] != denom * x[v] for v in range(g.n)):
         return False
-    return _vector_mask(x) not in g.adj
+    return sum(1 << v for v, e in enumerate(x) if e) not in g.adj
 
 
 def witness_complete(g: Graph) -> StrategyOutcome:
     """All-ones witness for complete graphs: every column sums to n-1."""
     if g.n < 2 or not g.is_complete():
-        return StrategyOutcome(False, reason="not a complete graph on >= 2 vertices")
+        return StrategyOutcome(reason="not a complete graph on >= 2 vertices")
     vector = (1,) * g.n
     cert = MembershipCertificate((Fraction(1, g.n - 1),) * g.n, vector)
-    return StrategyOutcome(True, Witness(vector, cert, Strategy.COMPLETE))
+    return StrategyOutcome(Witness(vector, cert, Strategy.COMPLETE))
+
+
+def _row_pair_sum(g: Graph, i: int, j: int, strategy: Strategy) -> StrategyOutcome:
+    """Witness R_i + R_j with coefficient 1 on rows i and j; the caller has
+    shown that the sum is 0/1-valued and equals no row."""
+    vector = _mask_vector(g.adj[i] | g.adj[j], g.n)
+    coeffs = [_ZERO] * g.n
+    coeffs[i] = coeffs[j] = _ONE
+    cert = MembershipCertificate(tuple(coeffs), vector)
+    return StrategyOutcome(Witness(vector, cert, strategy))
 
 
 def witness_disjoint_nbhd(g: Graph) -> StrategyOutcome:
     """Row sum over the first adjacent pair with disjoint neighborhoods."""
     pair = find_adjacent_disjoint_pair(g)
     if pair is None:
-        return StrategyOutcome(False, reason="every edge's endpoints share a neighbor")
-    i, j = pair
-    vector = _mask_vector(g.adj[i] | g.adj[j], g.n)
-    coeffs = [_ZERO] * g.n
-    coeffs[i] = coeffs[j] = _ONE
-    cert = MembershipCertificate(tuple(coeffs), vector)
-    return StrategyOutcome(True, Witness(vector, cert, Strategy.DISJOINT_NBHD))
+        return StrategyOutcome(reason="every edge's endpoints share a neighbor")
+    return _row_pair_sum(g, *pair, Strategy.DISJOINT_NBHD)
 
 
 def witness_diam_ge4(g: Graph) -> StrategyOutcome:
     """Row sum over positions 1 and l of a diametral geodesic p_0..p_l."""
     if not g.is_connected():
-        return StrategyOutcome(False, reason="graph is disconnected")
+        return StrategyOutcome(reason="graph is disconnected")
     geo = diametral_geodesic(g)
     if geo.ell < 4:
-        return StrategyOutcome(False, reason=f"diameter {geo.ell} < 4")
-    second, last = geo.path[1], geo.path[-1]
-    vector = _mask_vector(g.adj[second] | g.adj[last], g.n)
-    coeffs = [_ZERO] * g.n
-    coeffs[second] = coeffs[last] = _ONE
-    cert = MembershipCertificate(tuple(coeffs), vector)
-    return StrategyOutcome(True, Witness(vector, cert, Strategy.DIAM_GE4))
+        return StrategyOutcome(reason=f"diameter {geo.ell} < 4")
+    return _row_pair_sum(g, geo.path[1], geo.path[-1], Strategy.DIAM_GE4)
 
 
 def witness_dominating_regular(g: Graph) -> StrategyOutcome:
@@ -176,19 +160,19 @@ def witness_dominating_regular(g: Graph) -> StrategyOutcome:
     (n-d)/(n-1) on the dominating row and 1/(n-1) elsewhere is all-ones.
     """
     if g.is_complete():
-        return StrategyOutcome(False, reason="complete graph")
+        return StrategyOutcome(reason="complete graph")
     doms = [v for v in range(g.n) if g.degree(v) == g.n - 1]
     if len(doms) != 1:
-        return StrategyOutcome(False, reason=f"{len(doms)} dominating vertices, need exactly 1")
+        return StrategyOutcome(reason=f"{len(doms)} dominating vertices, need exactly 1")
     rest_degrees = {g.degree(v) for v in range(g.n) if v != doms[0]}
     if len(rest_degrees) != 1:
-        return StrategyOutcome(False, reason="non-dominating vertices have unequal degrees")
+        return StrategyOutcome(reason="non-dominating vertices have unequal degrees")
     d = rest_degrees.pop()
     vector = (1,) * g.n
     coeffs = [Fraction(1, g.n - 1)] * g.n
     coeffs[doms[0]] = Fraction(g.n - d, g.n - 1)
     cert = MembershipCertificate(tuple(coeffs), vector)
-    return StrategyOutcome(True, Witness(vector, cert, Strategy.DOMINATING_REGULAR))
+    return StrategyOutcome(Witness(vector, cert, Strategy.DOMINATING_REGULAR))
 
 
 # (graph, pinned 0/1 vector, pinned row coefficients) per catalog entry.
@@ -221,8 +205,22 @@ def witness_catalog_rank5(g: Graph) -> StrategyOutcome:
     for cg, vector, coeffs in _CATALOG:
         if g.n == cg.n and g.adj == cg.adj:
             cert = MembershipCertificate(coeffs, vector)
-            return StrategyOutcome(True, Witness(vector, cert, Strategy.CATALOG_RANK5))
-    return StrategyOutcome(False, reason="adjacency matrix not in the rank-5 catalog")
+            return StrategyOutcome(Witness(vector, cert, Strategy.CATALOG_RANK5))
+    return StrategyOutcome(reason="adjacency matrix not in the rank-5 catalog")
+
+
+def _embed(w: Witness, classes, n: int, strategy: Strategy) -> Witness:
+    """Carry a witness to an n-vertex graph. Entry k of the vector repeats on
+    every vertex of ``classes[k]``; its coefficient rides on the first vertex
+    of the class, and every other vertex gets 0."""
+    vector = [0] * n
+    coeffs = [_ZERO] * n
+    for x, c, members in zip(w.vector, w.certificate.coefficients, classes):
+        for v in members:
+            vector[v] = x
+        coeffs[members[0]] = c
+    vector = tuple(vector)
+    return Witness(vector, MembershipCertificate(tuple(coeffs), vector), strategy)
 
 
 def lift_witness(g: Graph, m, w: Witness) -> Witness:
@@ -231,23 +229,16 @@ def lift_witness(g: Graph, m, w: Witness) -> Witness:
     The witness vector block-repeats (entry i appears m[i] times) and each
     coefficient rides on the first clone of its vertex, the remaining clones
     getting 0; columns of the blow-up restrict to original columns on the
-    support, so the certificate identity carries over verbatim. Raises
-    LiftedVectorIsRowError if the lifted vector occurs as a row of the
-    blow-up (impossible for a valid input witness, checked anyway).
+    support, so the certificate identity carries over verbatim. Rows of the
+    blow-up are the block-repeats of rows of g and block repetition is
+    injective, so a valid witness lifts to a valid witness. Raises
+    ValueError if ``w`` is not a valid witness of g.
     """
-    if len(w.vector) != g.n:
-        raise ValueError(f"witness has length {len(w.vector)}, graph has {g.n} vertices")
-    blown = multiply_vertices(g, m)  # validates m
-    mult = tuple(m)
-    vector = tuple(x for x, k in zip(w.vector, mult) for _ in range(k))
-    coeffs: list[Fraction] = []
-    for c, k in zip(w.certificate.coefficients, mult):
-        coeffs.append(c)
-        coeffs.extend([_ZERO] * (k - 1))
-    if _vector_mask(vector) in blown.adj:
-        raise LiftedVectorIsRowError("lifted vector occurs as a row of the blow-up")
-    cert = MembershipCertificate(tuple(coeffs), vector)
-    return Witness(vector, cert, Strategy.LIFTED)
+    if not verify_witness(g, w):
+        raise ValueError("not a valid witness of the base graph")
+    ends = list(accumulate(_validated_multiplicities(g, m), initial=0))
+    blocks = [range(a, b) for a, b in zip(ends, ends[1:])]
+    return _embed(w, blocks, ends[-1], Strategy.LIFTED)
 
 
 def _twin_classes(g: Graph) -> list[list[int]] | None:
@@ -266,27 +257,17 @@ def _witness_by_twin_contraction(g: Graph, oracle_limit: int, enabled) -> Strate
 
     The contraction is the blow-up pre-image of g, so the search runs on a
     strictly smaller graph where the remaining strategies (and the oracle
-    bound) have another chance.
+    bound) have another chance. The inner witness is verified on the
+    contracted graph, so its lift is a witness too (see ``lift_witness``).
     """
     groups = _twin_classes(g)
     if groups is None:
-        return StrategyOutcome(False, reason="graph is reduced (no twin vertices)")
-    reps = [grp[0] for grp in groups]
-    contracted = induced_subgraph(g, reps)
+        return StrategyOutcome(reason="graph is reduced (no twin vertices)")
+    contracted = induced_subgraph(g, [grp[0] for grp in groups])
     inner = find_witness(contracted, oracle_limit, enabled=enabled)
     if inner is None:
-        return StrategyOutcome(False, reason="no witness on the twin-contracted graph")
-    vector = [0] * g.n
-    coeffs = [_ZERO] * g.n
-    for k, grp in enumerate(groups):
-        for v in grp:
-            vector[v] = inner.vector[k]
-        coeffs[grp[0]] = inner.certificate.coefficients[k]
-    vector = tuple(vector)
-    if _vector_mask(vector) in g.adj:
-        return StrategyOutcome(False, reason="lifted vector occurs as a row")
-    cert = MembershipCertificate(tuple(coeffs), vector)
-    return StrategyOutcome(True, Witness(vector, cert, Strategy.LIFTED))
+        return StrategyOutcome(reason="no witness on the twin-contracted graph")
+    return StrategyOutcome(_embed(inner, groups, g.n, Strategy.LIFTED))
 
 
 _CONSTRUCTIVE = (
@@ -328,21 +309,11 @@ def find_witness(
         frozenset(Strategy(s) for s in enabled) if enabled is not None else frozenset(Strategy)
     )
     if not g.is_connected():
-        for comp in connected_components(g):
-            sub = induced_subgraph(g, comp)
-            if sub.size:
-                break
-        inner = find_witness(sub, oracle_limit, enabled=enabled)
+        comp = next(c for c in connected_components(g) if len(c) > 1)
+        inner = find_witness(induced_subgraph(g, comp), oracle_limit, enabled=enabled)
         if inner is None:
             return None
-        vector = [0] * g.n
-        coeffs = [_ZERO] * g.n
-        for local, v in enumerate(comp):
-            vector[v] = inner.vector[local]
-            coeffs[v] = inner.certificate.coefficients[local]
-        vector = tuple(vector)
-        cert = MembershipCertificate(tuple(coeffs), vector)
-        return _checked(g, Witness(vector, cert, inner.strategy))
+        return _checked(g, _embed(inner, [[v] for v in comp], g.n, inner.strategy))
     for name, strategy in _CONSTRUCTIVE:
         if name in allowed:
             outcome = strategy(g)

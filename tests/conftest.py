@@ -114,3 +114,28 @@ def multiplicities(draw, n: int, cap: int = 3):
     return tuple(
         draw(st.lists(st.integers(1, cap), min_size=n, max_size=n))
     )
+
+
+class RecordingPool:
+    """In-process stand-in for ``multiprocessing.Pool``: records the worker
+    count asked for and runs the work in this process, so no worker process
+    is ever started."""
+
+    def __init__(self) -> None:
+        self.requested: list[int] = []
+
+    def __call__(self, processes: int) -> RecordingPool:
+        self.requested.append(processes)
+        return self
+
+    def __enter__(self) -> RecordingPool:
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+    def imap(self, fn, items, chunksize: int = 1):
+        return map(fn, items)

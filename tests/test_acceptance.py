@@ -91,7 +91,7 @@ def test_criterion_3_catalog_identities():
     for index in (1, 2, 3, 4):
         g = build(f"rank5-{index}")
         outcome = witness_catalog_rank5(g)
-        assert outcome.applicable
+        assert outcome.witness is not None
         w = outcome.witness
         combo = reference.combine_rows(adjacency_matrix(g), w.certificate.coefficients)
         assert combo == tuple(Fraction(x) for x in w.vector), index

@@ -1,5 +1,6 @@
 import json
 
+import rowspace.harness
 from rowspace.cli import main
 from rowspace.families import build
 from rowspace.graph6 import parse_graph6, write_graph6
@@ -56,6 +57,22 @@ class TestVerify:
         assert main(["verify", "--input", str(source), "--out", str(out)]) == 1
         statuses = [json.loads(line)["status"] for line in out.read_text().splitlines()]
         assert statuses == ["ok", "error"]
+
+
+    def test_counterexample_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            rowspace.harness, "find_witness", lambda g, limit, *, enabled=None: None
+        )
+        source = tmp_path / "graphs.g6"
+        out = tmp_path / "report.jsonl"
+        args = ["verify", "--input", str(source), "--out", str(out)]
+        source.write_text("C~\n")
+        assert main(args) == 3
+        # a counterexample outranks a parse error
+        source.write_text("C~\nnot-a-graph6-line!!!\n")
+        assert main(args) == 3
+        statuses = [json.loads(line)["status"] for line in out.read_text().splitlines()]
+        assert statuses == ["no-witness-found", "error"]
 
 
 class TestExhaustive:

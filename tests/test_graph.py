@@ -11,7 +11,6 @@ from rowspace.graph import (
     DisconnectedGraphError,
     Graph,
     connected_components,
-    degree,
     diameter,
     diametral_geodesic,
     duplicate_vertex,
@@ -65,24 +64,20 @@ class TestConstruction:
 class TestDegree:
     def test_complete_graph(self):
         g = build("complete", 4)
-        assert all(degree(g, v) == 3 for v in range(4))
+        assert all(g.degree(v) == 3 for v in range(4))
 
     def test_star_center(self):
-        assert degree(build("star", 4), 0) == 4
+        assert build("star", 4).degree(0) == 4
 
     def test_petersen_cubic(self):
         g = petersen()
-        assert all(degree(g, v) == 3 for v in range(10))
+        assert all(g.degree(v) == 3 for v in range(10))
         # cross-check the named constructor against the Kneser construction
         k = kneser_petersen()
         assert sorted(k.degree(v) for v in range(10)) == [3] * 10
         assert k.size == g.size == 15
         assert diameter(k) == diameter(g) == 2
         assert is_reduced(k) and is_reduced(g)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            degree(build("complete", 3), 3)
 
 
 class TestDiameter:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,20 @@ class TestParse:
         with pytest.raises(Graph6ParseError) as excinfo:
             parse_graph6("C")
         assert excinfo.value.offset == 1
+
+    def test_huge_header_truncated_before_allocating(self):
+        # "~~??FgQ?" declares n = 2,000,000 with no edge bytes; the length
+        # check must come before the n neighborhoods are allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(Graph6ParseError) as excinfo:
+                parse_graph6("~~??FgQ?")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "truncated" in str(excinfo.value)
+        assert excinfo.value.offset == 8
+        assert peak < 1 << 20
 
     def test_trailing_garbage(self):
         with pytest.raises(Graph6ParseError) as excinfo:

@@ -1,9 +1,12 @@
 import json
 import math
+import os
 from fractions import Fraction
 
 import pytest
 
+import rowspace.harness
+from conftest import RecordingPool
 from rowspace.families import build
 from rowspace.graph import Graph
 from rowspace.graph6 import parse_graph6, write_graph6
@@ -90,6 +93,21 @@ class TestRunVerification:
         assert len(records) == 3
         assert [r.status for r in records] == ["ok", "error", "ok"]
         assert records[1].reason
+
+    def test_huge_header_is_an_error_record(self):
+        # declares n = 2,000,000 and carries no edge bytes
+        [record] = run_verification(["~~??FgQ?"])
+        assert record.status == "error"
+        assert "truncated" in record.reason
+
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+        pool = RecordingPool()
+        monkeypatch.setattr(rowspace.harness, "Pool", pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        lines = [write_graph6(build("cycle", n)) for n in range(3, 6)]
+        records = list(run_verification(lines, jobs=10_000))
+        assert pool.requested == [3]
+        assert [r.status for r in records] == ["ok"] * 3
 
     def test_edgeless_skipped(self):
         [record] = run_verification([write_graph6(Graph(2, (0, 0)))])

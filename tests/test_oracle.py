@@ -1,7 +1,10 @@
+import os
+
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs
+import rowspace.oracle
+from conftest import RecordingPool, graphs
 from rowspace.families import build
 from rowspace.graph import Graph
 from rowspace.oracle import (
@@ -117,8 +120,22 @@ class TestExhaustive:
     def test_generator_bound(self):
         with pytest.raises(CapacityError):
             exhaustive_verify(8)
+        with pytest.raises(CapacityError):
+            next(iter_connected_graphs(8))
         with pytest.raises(ValueError):
             exhaustive_verify(0)
+
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+        pool = RecordingPool()
+        monkeypatch.setattr(rowspace.oracle, "Pool", pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        report = exhaustive_verify(4, jobs=10_000)
+        assert pool.requested == [2]
+        assert (report.graphs_checked, report.failures) == (38, [])
+        # cpu_count() unknown: one worker, so the sweep runs in-process
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert exhaustive_verify(4, jobs=10_000).graphs_checked == 38
+        assert pool.requested == [2]
 
 
 class TestConsistency:

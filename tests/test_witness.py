@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,6 @@ from rowspace.graph import (
 )
 from rowspace.linalg import MembershipCertificate, adjacency_matrix, solve_membership
 from rowspace.witness import (
-    LiftedVectorIsRowError,
     Strategy,
     Witness,
     find_witness,
@@ -46,7 +46,7 @@ class TestComplete:
 
     def test_cycle_inapplicable(self):
         out = witness_complete(build("cycle", 5))
-        assert not out.applicable and out.witness is None and out.reason
+        assert out.witness is None and out.reason
 
 
 class TestDisjointNeighborhood:
@@ -66,7 +66,7 @@ class TestDisjointNeighborhood:
         g = build("cycle", 6)
         for _ in range(4):
             out = witness_disjoint_nbhd(g)
-            assert out.applicable
+            assert out.witness is not None
             assert verify_witness(g, out.witness)
             g = duplicate_vertex(g, 0)
 
@@ -93,17 +93,17 @@ class TestDiamGe4:
 
     def test_petersen_inapplicable(self):
         out = witness_diam_ge4(build("petersen"))
-        assert not out.applicable
+        assert out.witness is None
 
     def test_disconnected_inapplicable(self):
-        assert not witness_diam_ge4(Graph.from_edges(6, [(0, 1), (2, 3)])).applicable
+        assert witness_diam_ge4(Graph.from_edges(6, [(0, 1), (2, 3)])).witness is None
 
     @settings(max_examples=60)
     @given(long_diameter_graphs())
     def test_pattern_on_path_positions(self, g):
         assume(diameter(g) >= 4)
         out = witness_diam_ge4(g)
-        assert out.applicable
+        assert out.witness is not None
         w = out.witness
         assert verify_witness(g, w)
         # on the geodesic the vector is forced: row p1 hits p0 and p2, row
@@ -130,19 +130,19 @@ class TestDominatingRegular:
         assert verify_witness(g, w)
 
     def test_cycle_inapplicable(self):
-        assert not witness_dominating_regular(build("cycle", 5)).applicable
+        assert witness_dominating_regular(build("cycle", 5)).witness is None
 
     def test_complete_inapplicable(self):
-        assert not witness_dominating_regular(build("complete", 4)).applicable
+        assert witness_dominating_regular(build("complete", 4)).witness is None
 
     def test_two_dominating_vertices_inapplicable(self):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-        assert not witness_dominating_regular(g).applicable
+        assert witness_dominating_regular(g).witness is None
 
     def test_irregular_rest_inapplicable(self):
         # star plus one rim edge: leaves have degrees 1 and 2
         g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])
-        assert not witness_dominating_regular(g).applicable
+        assert witness_dominating_regular(g).witness is None
 
 
 class TestCatalog:
@@ -168,7 +168,7 @@ class TestCatalog:
             assert combo == tuple(Fraction(x) for x in w.vector)
 
     def test_miss(self):
-        assert not witness_catalog_rank5(build("cycle", 5)).applicable
+        assert witness_catalog_rank5(build("cycle", 5)).witness is None
 
 
 class TestLiftWitness:
@@ -203,15 +203,15 @@ class TestLiftWitness:
             lift_witness(g, (1, 1, 1), w)
 
     def test_row_collision_is_signalled_not_verified(self):
-        # A forged "witness" that IS a row of the base graph: its lift then
-        # occurs as a row of the blow-up and must raise the failure signal.
+        # A forged "witness" that IS a row of the base graph: its lift would
+        # occur as a row of the blow-up, so the invalid input is refused.
         g = build("star", 2)  # rows include (1, 0, 0)
         forged = Witness(
             (1, 0, 0),
             MembershipCertificate((Fraction(0), Fraction(1), Fraction(0)), (1, 0, 0)),
             Strategy.LIFTED,
         )
-        with pytest.raises(LiftedVectorIsRowError):
+        with pytest.raises(ValueError):
             lift_witness(g, (1, 2, 1), forged)
 
     @settings(max_examples=80, deadline=None)
@@ -364,3 +364,33 @@ class TestVerifyWitness:
         other = (1, 1, 1, 0) if w.vector != (1, 1, 1, 0) else (1, 1, 0, 1)
         cert = MembershipCertificate(w.certificate.coefficients, other)
         assert not verify_witness(g, Witness(w.vector, cert, w.strategy))
+
+
+class TestWitnessIdentity:
+    # sha256 over one "vector certificate strategy" line per labeled graph
+    # with at least one edge and n <= 5 (1,094 graphs), edge masks ascending
+    # over the graph6 pair order (0,1), (0,2), (1,2), ...; certificates as
+    # "p/q". Pinned so that a change to the dispatch, to the witness
+    # embedding (disconnected padding, twin contraction) or to the oracle
+    # scan cannot alter any witness unnoticed.
+    DIGEST = "6e3fad83cc0263b6a97fb8e663dd5a49b67718dca3f04e3fa3c1c129b8ccabef"
+
+    def test_find_witness_output_is_pinned(self):
+        digest = hashlib.sha256()
+        count = 0
+        by_kind: dict[str, int] = {}
+        for n in range(2, 6):
+            pairs = [(i, j) for j in range(n) for i in range(j)]
+            for mask in range(1, 1 << len(pairs)):
+                g = Graph.from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+                w = find_witness(g)
+                vector = "".join(map(str, w.vector))
+                cert = ",".join(f"{c.numerator}/{c.denominator}" for c in w.certificate.coefficients)
+                digest.update(f"{vector} {cert} {w.strategy.value}\n".encode())
+                count += 1
+                kind = w.strategy.value if g.is_connected() else "padded"
+                by_kind[kind] = by_kind.get(kind, 0) + 1
+        assert count == 1094
+        # every embedding caller and the oracle are exercised
+        assert (by_kind["padded"], by_kind["lifted"], by_kind["oracle"]) == (323, 26, 90)
+        assert digest.hexdigest() == self.DIGEST
