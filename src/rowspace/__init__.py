@@ -9,14 +9,12 @@ Khosrovshahi asserts for every graph with at least one edge.
 from .graph import (
     DisconnectedGraphError,
     Graph,
-    PathWitnessContext,
     connected_components,
     diameter,
     diametral_geodesic,
     duplicate_vertex,
     find_adjacent_disjoint_pair,
     induced_subgraph,
-    is_dominating,
     is_reduced,
     multiply_vertices,
 )

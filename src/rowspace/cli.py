@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import ExitStack
 from typing import IO
@@ -12,9 +13,29 @@ from typing import IO
 from .families import FAMILY_NAMES, build
 from .graph import diameter
 from .graph6 import write_graph6
-from .harness import MAX_ORACLE_LIMIT, check_size_bound, resolve_oracle_limit, run_verification
+from .harness import check_size_bound, run_verification
 from .linalg import adjacency_matrix, rank
 from .oracle import exhaustive_verify
+from .witness import DEFAULT_ORACLE_LIMIT, MAX_ORACLE_LIMIT, check_oracle_limit
+
+ORACLE_LIMIT_ENV = "ROWSPACE_ORACLE_LIMIT"
+
+
+def resolve_oracle_limit(explicit: int | None = None) -> int:
+    """Explicit value, else the ROWSPACE_ORACLE_LIMIT env var, else 16.
+
+    Raises ValueError for a value outside 0..MAX_ORACLE_LIMIT.
+    """
+    if explicit is not None:
+        return check_oracle_limit(explicit)
+    env = os.environ.get(ORACLE_LIMIT_ENV)
+    if env is None:
+        return DEFAULT_ORACLE_LIMIT
+    try:
+        limit = int(env)
+    except ValueError:
+        raise ValueError(f"{ORACLE_LIMIT_ENV}={env!r} is not an integer")
+    return check_oracle_limit(limit, ORACLE_LIMIT_ENV)
 
 
 def _open_input(stack: ExitStack, path: str) -> IO[str]:
@@ -29,21 +50,22 @@ def _open_output(stack: ExitStack, path: str) -> IO[str]:
     return stack.enter_context(open(path, "w", encoding="ascii"))
 
 
+#: verify's exit code per record status, highest rank first.
+_VERIFY_EXITS = (("no-witness-found", 3), ("internal-error", 4), ("error", 1))
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    """Exit 3 if any record is a counterexample, else 1 if any line failed
-    to parse, else 0."""
+    """Exit 3 if any record is a counterexample, else 4 if any record hit an
+    internal error, else 1 if any line failed to parse, else 0."""
+    limit = resolve_oracle_limit(args.oracle_limit)
     statuses = set()
     with ExitStack() as stack:
         source = _open_input(stack, args.input)
         sink = _open_output(stack, args.out)
-        for record in run_verification(
-            source, oracle_limit=args.oracle_limit, jobs=args.jobs
-        ):
+        for record in run_verification(source, oracle_limit=limit, jobs=args.jobs):
             statuses.add(record.status)
             sink.write(json.dumps(record.to_json()) + "\n")
-    if "no-witness-found" in statuses:
-        return 3
-    return 1 if "error" in statuses else 0
+    return next((code for status, code in _VERIFY_EXITS if status in statuses), 0)
 
 
 def _cmd_exhaustive(args: argparse.Namespace) -> int:
@@ -111,7 +133,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exhaustive", help="scan every labeled connected graph on n vertices")
     p.add_argument("--n", type=int, required=True, help="vertex count (n <= 7)")
     p.add_argument("--out", default="-", help="JSON report file ('-' = stdout)")
-    p.add_argument("--oracle-limit", type=int, default=None)
+    p.add_argument("--oracle-limit", type=int, default=None,
+                   help=f"largest n for the exhaustive fallback, n..{MAX_ORACLE_LIMIT} "
+                        "(default: $ROWSPACE_ORACLE_LIMIT or 16)")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.set_defaults(handler=_cmd_exhaustive)
 

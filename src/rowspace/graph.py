@@ -118,13 +118,6 @@ def reachable(adj: Sequence[int], seen: int) -> int:
     return seen
 
 
-def is_dominating(g: Graph, v: int) -> bool:
-    """True iff v is adjacent to every other vertex."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    return g.degree(v) == g.n - 1
-
-
 def is_reduced(g: Graph) -> bool:
     """True iff no two vertices share the same neighborhood (no twins)."""
     return len(set(g.adj)) == g.n

@@ -9,8 +9,10 @@ status=ok record.
 Statuses: ``ok`` (witness found and verified), ``no-witness-found`` (the
 exhaustive oracle ran and no witness exists -- a counterexample), ``skipped``
 (edgeless input, outside the searched property), ``skipped-too-large`` (no
-constructive strategy fired and the graph exceeds the oracle bound),
-``error`` (unparseable line).
+constructive strategy fired and the oracle declined: see
+``witness.oracle_declines``), ``error`` (unparseable line),
+``internal-error`` (any other exception, reported as ``"<Type>: <message>"``;
+the stream goes on).
 """
 
 from __future__ import annotations
@@ -23,34 +25,10 @@ from fractions import Fraction
 from multiprocessing import Pool
 from typing import Iterable, Iterator, Sequence
 
-from .graph import diameter, is_dominating
+from .graph import diameter
 from .graph6 import OPTIONAL_HEADER, Graph6ParseError, parse_graph6
 from .linalg import adjacency_matrix, rank
-from .witness import DEFAULT_ORACLE_LIMIT, Strategy, find_witness
-
-ORACLE_LIMIT_ENV = "ROWSPACE_ORACLE_LIMIT"
-#: Largest accepted oracle bound: the oracle scans 2^n candidates.
-MAX_ORACLE_LIMIT = 20
-
-
-def resolve_oracle_limit(explicit: int | None = None) -> int:
-    """Explicit value, else the ROWSPACE_ORACLE_LIMIT env var, else 16.
-
-    Raises ValueError for a value outside 0..MAX_ORACLE_LIMIT.
-    """
-    if explicit is not None:
-        limit, source = explicit, "oracle limit"
-    else:
-        env = os.environ.get(ORACLE_LIMIT_ENV)
-        if env is None:
-            return DEFAULT_ORACLE_LIMIT
-        try:
-            limit, source = int(env), ORACLE_LIMIT_ENV
-        except ValueError:
-            raise ValueError(f"{ORACLE_LIMIT_ENV}={env!r} is not an integer")
-    if not 0 <= limit <= MAX_ORACLE_LIMIT:
-        raise ValueError(f"{source} {limit} is outside 0..{MAX_ORACLE_LIMIT}")
-    return limit
+from .witness import DEFAULT_ORACLE_LIMIT, Strategy, check_oracle_limit, find_witness, oracle_declines
 
 
 def _fraction_str(value: Fraction) -> str:
@@ -144,13 +122,23 @@ def _stamped(record: VerificationRecord, start: float) -> VerificationRecord:
     return record
 
 
-def _verify_line(args: tuple[str, int, tuple[str, ...] | None]) -> VerificationRecord:
+def _verify_line(args: tuple[str, int, frozenset[Strategy] | None]) -> VerificationRecord:
     line, oracle_limit, enabled = args
     start = time.perf_counter()
     try:
-        g = parse_graph6(line)
+        record = _verify_graph(line, oracle_limit, enabled)
     except Graph6ParseError as exc:
-        return _stamped(VerificationRecord(line, "error", 0, reason=str(exc)), start)
+        record = VerificationRecord(line, "error", 0, reason=str(exc))
+    except Exception as exc:
+        reason = f"{type(exc).__name__}: {exc}"
+        record = VerificationRecord(line, "internal-error", 0, reason=reason)
+    return _stamped(record, start)
+
+
+def _verify_graph(
+    line: str, oracle_limit: int, enabled: frozenset[Strategy] | None
+) -> VerificationRecord:
+    g = parse_graph6(line)
     diam = diameter(g)
     record = VerificationRecord(
         graph6=line,
@@ -164,45 +152,43 @@ def _verify_line(args: tuple[str, int, tuple[str, ...] | None]) -> VerificationR
     if g.size == 0:
         record.status = "skipped"
         record.reason = "graph has no edge; the searched property assumes one"
-        return _stamped(record, start)
+        return record
     w = find_witness(g, oracle_limit, enabled=enabled)
     if w is not None:
         record.strategy = w.strategy.value
         record.witness = "".join(str(b) for b in w.vector)
         record.certificate = [_fraction_str(c) for c in w.certificate.coefficients]
+        return record
+    declined = oracle_declines(g.n, oracle_limit, enabled)
+    if declined is None:
+        record.status = "no-witness-found"
+        record.reason = "exhaustive candidate scan found no witness"
     else:
-        oracle_allowed = enabled is None or Strategy.ORACLE.value in enabled
-        if oracle_allowed and g.n <= oracle_limit:
-            record.status = "no-witness-found"
-            record.reason = "exhaustive candidate scan found no witness"
-        elif not oracle_allowed:
-            record.status = "skipped-too-large"
-            record.reason = "no enabled strategy applied (oracle disabled)"
-        else:
-            record.status = "skipped-too-large"
-            record.reason = (
-                f"no constructive strategy applied and n={g.n} exceeds "
-                f"the oracle bound {oracle_limit}"
-            )
-    return _stamped(record, start)
+        record.status = "skipped-too-large"
+        record.reason = declined
+    return record
 
 
 def run_verification(
     lines: Iterable[str],
-    oracle_limit: int | None = None,
+    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
     strategies_enabled: Sequence[str] | None = None,
     jobs: int = 1,
 ) -> Iterator[VerificationRecord]:
     """One record per effective input line, in input order. At most
-    ``os.cpu_count()`` worker processes run, however large ``jobs`` is."""
-    limit = resolve_oracle_limit(oracle_limit)
-    enabled = tuple(strategies_enabled) if strategies_enabled is not None else None
-    work = ((line, limit, enabled) for line in effective_lines(lines))
+    ``os.cpu_count()`` worker processes run, however large ``jobs`` is.
+    An oracle limit outside 0..MAX_ORACLE_LIMIT or an unknown strategy
+    name raises ValueError here, before any line is read."""
+    check_oracle_limit(oracle_limit)
+    enabled = None if strategies_enabled is None else frozenset(map(Strategy, strategies_enabled))
+    work = ((line, oracle_limit, enabled) for line in effective_lines(lines))
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
-        for item in work:
-            yield _verify_line(item)
-        return
+        return map(_verify_line, work)
+    return _pooled(work, jobs)
+
+
+def _pooled(work: Iterator[tuple], jobs: int) -> Iterator[VerificationRecord]:
     with Pool(processes=jobs) as pool:
         yield from pool.imap(_verify_line, work, chunksize=64)
 
@@ -221,7 +207,7 @@ def check_size_bound(lines: Iterable[str]) -> Iterator[SizeBoundRecord]:
             graph6=line,
             order=g.n,
             size=g.size,
-            has_dominating=any(is_dominating(g, v) for v in range(g.n)),
+            has_dominating=any(g.degree(v) == g.n - 1 for v in range(g.n)),
             diameter=None if math.isinf(diam) else int(diam),
             bound_2n_minus_5=bound,
             meets_bound=g.size >= bound,

@@ -17,7 +17,6 @@ supported sizes (n <= 7).
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Iterator
@@ -25,7 +24,7 @@ from typing import Iterator
 from .graph import Graph, reachable
 from .graph6 import write_graph6
 from .linalg import adjacency_matrix, integer_row_echelon, solve_membership
-from .witness import DEFAULT_ORACLE_LIMIT, Strategy, Witness, find_witness
+from .witness import DEFAULT_ORACLE_LIMIT, Strategy, Witness, check_oracle_limit, find_witness
 
 GENERATOR_LIMIT = 7
 
@@ -36,10 +35,12 @@ class CapacityError(ValueError):
 
 @dataclass(frozen=True)
 class OracleResult:
-    found: bool
     witness: Witness | None
     candidates_checked: int
-    elapsed: float
+
+    @property
+    def found(self) -> bool:
+        return self.witness is not None
 
 
 @dataclass
@@ -66,7 +67,9 @@ def _reduces_to_zero(echelon: list[list[int]], pivots: list[int], x: list[int]) 
 def _scan(g: Graph, limit: int) -> Iterator[tuple[int, tuple[int, ...] | None]]:
     """Every witness in ascending binary order, each with the number of
     non-row candidates checked so far; a final ``(checked, None)`` carries
-    the total."""
+    the total. Raises ValueError for a limit outside 0..MAX_ORACLE_LIMIT and
+    CapacityError for n above the limit, before any candidate is scanned."""
+    check_oracle_limit(limit)
     if g.n > limit:
         raise CapacityError(f"n={g.n} exceeds the oracle bound {limit}")
     echelon, pivots = integer_row_echelon(adjacency_matrix(g))
@@ -84,15 +87,14 @@ def _scan(g: Graph, limit: int) -> Iterator[tuple[int, tuple[int, ...] | None]]:
 
 def brute_force_witness(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> OracleResult:
     """First witness in candidate scan order, with a solved certificate."""
-    start = time.perf_counter()
     checked, vector = next(_scan(g, limit))
     if vector is None:
-        return OracleResult(False, None, checked, time.perf_counter() - start)
+        return OracleResult(None, checked)
     cert = solve_membership(adjacency_matrix(g), vector)
     if cert is None:
         raise RuntimeError("echelon reduction and exact solve disagree")
     witness = Witness(vector, cert, Strategy.ORACLE)
-    return OracleResult(True, witness, checked, time.perf_counter() - start)
+    return OracleResult(witness, checked)
 
 
 def enumerate_all_witnesses(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> list[tuple[int, ...]]:
@@ -164,11 +166,18 @@ def exhaustive_verify(
     an empty list means the searched property held throughout. With
     ``jobs`` > 1 the edge-mask index range is partitioned across worker
     processes, at most ``os.cpu_count()`` of them, and the partial reports
-    are merged.
+    are merged. Raises ValueError for an oracle limit outside
+    0..MAX_ORACLE_LIMIT or below n: the oracle would never run on the
+    n-vertex graphs, so a graph no strategy covers would be undecided.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     total = 1 << len(_edge_pairs(n))
+    check_oracle_limit(oracle_limit)
+    if oracle_limit < n:
+        raise ValueError(
+            f"oracle limit {oracle_limit} < n={n}: the sweep could not decide every graph"
+        )
     jobs = min(jobs, os.cpu_count() or 1)
     report = ExhaustiveReport(n=n, graphs_checked=0)
     if jobs <= 1:

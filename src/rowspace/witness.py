@@ -49,6 +49,8 @@ from .graph import (
 from .linalg import MembershipCertificate
 
 DEFAULT_ORACLE_LIMIT = 16
+#: Largest accepted oracle bound: the oracle scans 2^n candidates.
+MAX_ORACLE_LIMIT = 20
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -80,6 +82,26 @@ class StrategyOutcome:
 
     witness: Witness | None = None
     reason: str | None = None
+
+
+def check_oracle_limit(limit: int, source: str = "oracle limit") -> int:
+    """``limit`` itself; ValueError naming ``source`` unless it lies in
+    0..MAX_ORACLE_LIMIT."""
+    if not 0 <= limit <= MAX_ORACLE_LIMIT:
+        raise ValueError(f"{source} {limit} is outside 0..{MAX_ORACLE_LIMIT}")
+    return limit
+
+
+def oracle_declines(n: int, limit: int, enabled=None) -> str | None:
+    """None if the oracle scans an n-vertex graph under ``limit`` with the
+    strategy set ``enabled`` (None: all), else why it does not. Only when
+    it scans is a None from ``find_witness`` a proof that no witness exists.
+    """
+    if enabled is not None and Strategy.ORACLE not in enabled:
+        return "no enabled strategy applied (oracle disabled)"
+    if n > limit:
+        return f"no constructive strategy applied and n={n} exceeds the oracle bound {limit}"
+    return None
 
 
 def _mask_vector(mask: int, n: int) -> tuple[int, ...]:
@@ -301,8 +323,10 @@ def find_witness(
     that component are excluded by the component-level check and every other
     row is zero on the component's columns. ``enabled`` restricts the
     strategy set (default: all). A None return is conclusive only when the
-    oracle ran, i.e. ``g.n <= oracle_limit`` and the oracle was enabled.
+    oracle ran (see ``oracle_declines``). Raises ValueError for an oracle
+    limit outside 0..MAX_ORACLE_LIMIT.
     """
+    check_oracle_limit(oracle_limit)
     if g.size == 0:
         raise ValueError("witness search requires a graph with at least one edge")
     allowed = (
@@ -323,7 +347,7 @@ def find_witness(
         outcome = _witness_by_twin_contraction(g, oracle_limit, enabled)
         if outcome.witness is not None:
             return _checked(g, outcome.witness)
-    if Strategy.ORACLE in allowed and g.n <= oracle_limit:
+    if oracle_declines(g.n, oracle_limit, allowed) is None:
         from .oracle import brute_force_witness
 
         result = brute_force_witness(g, limit=oracle_limit)

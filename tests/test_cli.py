@@ -74,6 +74,27 @@ class TestVerify:
         statuses = [json.loads(line)["status"] for line in out.read_text().splitlines()]
         assert statuses == ["no-witness-found", "error"]
 
+    def test_internal_error_exit_code(self, tmp_path, monkeypatch):
+        real = rowspace.harness.find_witness
+
+        def fails_on_k4(g, limit, *, enabled=None):
+            if g == build("complete", 4):
+                raise RuntimeError("boom")
+            return real(g, limit, enabled=enabled)
+
+        monkeypatch.setattr(rowspace.harness, "find_witness", fails_on_k4)
+        source = tmp_path / "graphs.g6"
+        out = tmp_path / "report.jsonl"
+        args = ["verify", "--input", str(source), "--out", str(out)]
+        source.write_text("Bw\nC~\nDhc\n")
+        assert main(args) == 4
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["status"] for r in records] == ["ok", "internal-error", "ok"]
+        assert records[1]["reason"] == "RuntimeError: boom"
+        # an internal error outranks a parse error
+        source.write_text("C~\nnot-a-graph6-line!!!\n")
+        assert main(args) == 4
+
 
 class TestExhaustive:
     def test_small_report(self, tmp_path):
@@ -82,6 +103,17 @@ class TestExhaustive:
         report = json.loads(out.read_text())
         assert report["graphs_checked"] == 4
         assert report["failures"] == []
+
+    def test_oracle_limit_below_n(self, tmp_path, capsys, monkeypatch):
+        # the oracle never runs on the 5-vertex graphs, so the sweep used to
+        # report the 90 graphs only the oracle decides as failures
+        out = tmp_path / "report.json"
+        assert main(["exhaustive", "--n", "5", "--oracle-limit", "3", "--out", str(out)]) == 2
+        assert "oracle limit 3 < n=5" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setenv("ROWSPACE_ORACLE_LIMIT", "3")
+        assert main(["exhaustive", "--n", "5", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_bound_error(self, capsys):
         assert main(["exhaustive", "--n", "9"]) == 2

@@ -16,7 +16,6 @@ from rowspace.graph import (
     duplicate_vertex,
     find_adjacent_disjoint_pair,
     induced_subgraph,
-    is_dominating,
     is_reduced,
     multiply_vertices,
 )
@@ -261,9 +260,10 @@ class TestAdjacentDisjointPair:
 
 class TestPredicates:
     def test_dominating(self):
-        assert is_dominating(build("star", 4), 0)
-        assert not any(is_dominating(build("cycle", 5), v) for v in range(5))
-        assert is_dominating(build("wheel", 9), 0)
+        star, cycle, wheel = build("star", 4), build("cycle", 5), build("wheel", 9)
+        assert star.degree(0) == star.n - 1
+        assert not any(cycle.degree(v) == cycle.n - 1 for v in range(5))
+        assert wheel.degree(0) == wheel.n - 1
 
     def test_reduced(self):
         assert is_reduced(build("cycle", 5))

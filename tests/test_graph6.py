@@ -1,8 +1,10 @@
+import random
 import tracemalloc
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import graphs
 from rowspace.families import FAMILY_NAMES, build
@@ -111,3 +113,56 @@ class TestRoundTrip:
         assert line == networkx_encode(g)
         decoded = nx.from_graph6_bytes(line.encode())
         assert set(decoded.edges()) == {tuple(e) for e in g.edges()}
+
+
+def assert_graph_or_located_error(line: str) -> None:
+    """A Graph, or a Graph6ParseError whose offset lies in 0..len(line);
+    any other exception propagates and fails the test."""
+    try:
+        g = parse_graph6(line)
+    except Graph6ParseError as exc:
+        assert 0 <= exc.offset <= len(line)
+    else:
+        assert isinstance(g, Graph)
+
+
+class TestFuzz:
+    GRAPH6_CHARS = [chr(c) for c in range(63, 127)]
+    OTHER_CHARS = [" ", "\t", "\x00", "!", ">", "\x7f", "\xe9", "\u2603", "\U0001f600"]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(max_size=40))
+    def test_arbitrary_text(self, line):
+        assert_graph_or_located_error(line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.sampled_from(GRAPH6_CHARS), max_size=40))
+    def test_graph6_alphabet(self, line):
+        assert_graph_or_located_error(line)
+
+    def test_seeded_random_and_mutated_lines(self):
+        rng = random.Random(6)
+        chars = self.GRAPH6_CHARS + self.OTHER_CHARS
+        for _ in range(10_000):
+            # random lines, mostly in the graph6 alphabet, long headers included
+            prefix = rng.choice(["", "", "~", "~~"])
+            body = "".join(
+                rng.choice(self.GRAPH6_CHARS if rng.random() < 0.9 else chars)
+                for _ in range(rng.randrange(12))
+            )
+            assert_graph_or_located_error(prefix + body)
+            # one edit of a valid line: replace, insert or delete a character
+            n = rng.randrange(1, 12)
+            mask = rng.getrandbits(n * (n - 1) // 2)
+            pairs = [(i, j) for j in range(n) for i in range(j)]
+            edges = [p for b, p in enumerate(pairs) if (mask >> b) & 1]
+            line = list(write_graph6(Graph.from_edges(n, edges)))
+            pos = rng.randrange(len(line) + 1)
+            op = rng.randrange(3)
+            if op == 0 and pos < len(line):
+                line[pos] = rng.choice(chars)
+            elif op == 1:
+                line.insert(pos, rng.choice(chars))
+            elif pos < len(line):
+                del line[pos]
+            assert_graph_or_located_error("".join(line))

@@ -10,16 +10,15 @@ from conftest import RecordingPool
 from rowspace.families import build
 from rowspace.graph import Graph
 from rowspace.graph6 import parse_graph6, write_graph6
+from rowspace.cli import resolve_oracle_limit
 from rowspace.harness import (
-    MAX_ORACLE_LIMIT,
     SizeBoundRecord,
     check_size_bound,
     effective_lines,
-    resolve_oracle_limit,
     run_verification,
 )
 from rowspace.linalg import MembershipCertificate
-from rowspace.witness import Strategy, Witness, verify_witness
+from rowspace.witness import MAX_ORACLE_LIMIT, Strategy, Witness, verify_witness
 
 
 def record_witness(record) -> Witness:
@@ -168,6 +167,64 @@ class TestRunVerification:
             "strategy", "witness", "certificate", "elapsed_ms", "elapsed_us",
         }
         assert payload["elapsed_ms"] == round(payload["elapsed_us"] / 1000)
+
+    def test_unresolved_reasons_are_pinned(self, monkeypatch):
+        line = write_graph6(co_c7())
+        [record] = run_verification([line], oracle_limit=3)
+        assert (record.status, record.reason) == (
+            "skipped-too-large",
+            "no constructive strategy applied and n=7 exceeds the oracle bound 3",
+        )
+        constructive = [s.value for s in Strategy if s != Strategy.ORACLE]
+        [record] = run_verification([line], strategies_enabled=constructive)
+        assert (record.status, record.reason) == (
+            "skipped-too-large",
+            "no enabled strategy applied (oracle disabled)",
+        )
+        monkeypatch.setattr(
+            rowspace.harness, "find_witness", lambda g, limit, *, enabled=None: None
+        )
+        [record] = run_verification([line])
+        assert (record.status, record.reason) == (
+            "no-witness-found",
+            "exhaustive candidate scan found no witness",
+        )
+
+    def test_oracle_limit_env_ignored(self, monkeypatch):
+        # only the CLI reads ROWSPACE_ORACLE_LIMIT
+        for value in ("3", "40", "many"):
+            monkeypatch.setenv("ROWSPACE_ORACLE_LIMIT", value)
+            [record] = run_verification([write_graph6(co_c7())])
+            assert (record.status, record.strategy) == ("ok", "oracle")
+
+    @pytest.mark.parametrize("limit", [-1, MAX_ORACLE_LIMIT + 1])
+    def test_oracle_limit_rejected_when_called(self, limit):
+        # raised by the call itself, before any record is asked for
+        with pytest.raises(ValueError, match=f"outside 0..{MAX_ORACLE_LIMIT}"):
+            run_verification(["C~"], oracle_limit=limit)
+
+    def test_unknown_strategy_rejected_when_called(self):
+        with pytest.raises(ValueError):
+            run_verification(["C~"], strategies_enabled=["no-such-strategy"])
+
+    def test_internal_error_keeps_streaming(self, monkeypatch):
+        real = rowspace.harness.find_witness
+        calls = []
+
+        def fails_on_second(g, limit, *, enabled=None):
+            calls.append(g)
+            if len(calls) == 2:
+                raise RuntimeError("strategy produced an invalid witness")
+            return real(g, limit, enabled=enabled)
+
+        monkeypatch.setattr(rowspace.harness, "find_witness", fails_on_second)
+        lines = [write_graph6(build("cycle", n)) for n in (4, 5, 6)]
+        records = list(run_verification(lines))
+        assert [r.status for r in records] == ["ok", "internal-error", "ok"]
+        assert records[1].reason == "RuntimeError: strategy produced an invalid witness"
+        assert set(records[1].to_json()) == {
+            "graph6", "status", "reason", "elapsed_ms", "elapsed_us",
+        }
 
 
 class TestCheckSizeBound:

@@ -14,7 +14,7 @@ from rowspace.oracle import (
     exhaustive_verify,
     iter_connected_graphs,
 )
-from rowspace.witness import Strategy, find_witness, verify_witness
+from rowspace.witness import MAX_ORACLE_LIMIT, Strategy, find_witness, verify_witness
 
 CONSTRUCTIVE = tuple(s for s in Strategy if s != Strategy.ORACLE)
 
@@ -136,6 +136,42 @@ class TestExhaustive:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert exhaustive_verify(4, jobs=10_000).graphs_checked == 38
         assert pool.requested == [2]
+
+
+class TestOracleLimitRange:
+    """Every entry point that takes an oracle limit rejects one outside
+    0..MAX_ORACLE_LIMIT before the first candidate is scanned."""
+
+    @pytest.fixture
+    def no_scan(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("the candidate scan started")
+
+        monkeypatch.setattr(rowspace.oracle, "integer_row_echelon", refuse)
+
+    def test_enumerate_rejects_before_scanning(self, no_scan):
+        # a 2^24 scan used to start here
+        with pytest.raises(ValueError, match=f"outside 0..{MAX_ORACLE_LIMIT}"):
+            enumerate_all_witnesses(build("cycle", 24), limit=40)
+
+    @pytest.mark.parametrize("limit", [-1, MAX_ORACLE_LIMIT + 1])
+    def test_brute_force_rejects_before_scanning(self, no_scan, limit):
+        with pytest.raises(ValueError, match=f"outside 0..{MAX_ORACLE_LIMIT}"):
+            brute_force_witness(build("cycle", 5), limit=limit)
+
+    def test_exhaustive_rejects_out_of_range(self, no_scan):
+        with pytest.raises(ValueError, match=f"outside 0..{MAX_ORACLE_LIMIT}"):
+            exhaustive_verify(3, oracle_limit=MAX_ORACLE_LIMIT + 1)
+
+    def test_exhaustive_refuses_limit_below_n(self, no_scan):
+        # the oracle would never run on a 5-vertex graph, so the 90 graphs
+        # only the oracle decides used to be reported as failures
+        with pytest.raises(ValueError, match="oracle limit 3 < n=5"):
+            exhaustive_verify(5, oracle_limit=3)
+
+    def test_exhaustive_accepts_limit_equal_to_n(self):
+        report = exhaustive_verify(4, oracle_limit=4)
+        assert (report.graphs_checked, report.failures) == (38, [])
 
 
 class TestConsistency:

@@ -17,10 +17,12 @@ from rowspace.graph import (
 )
 from rowspace.linalg import MembershipCertificate, adjacency_matrix, solve_membership
 from rowspace.witness import (
+    MAX_ORACLE_LIMIT,
     Strategy,
     Witness,
     find_witness,
     lift_witness,
+    oracle_declines,
     verify_witness,
     witness_catalog_rank5,
     witness_complete,
@@ -284,6 +286,20 @@ class TestFindWitness:
         assert find_witness(g, oracle_limit=3) is None
         w = find_witness(g)
         assert w is not None and w.strategy == Strategy.ORACLE
+
+    @pytest.mark.parametrize("limit", [-1, MAX_ORACLE_LIMIT + 1])
+    def test_oracle_limit_out_of_range(self, limit):
+        # -1 used to turn the oracle off without a word
+        with pytest.raises(ValueError, match=f"outside 0..{MAX_ORACLE_LIMIT}"):
+            find_witness(build("path", 3), oracle_limit=limit)
+
+    def test_oracle_declines(self):
+        constructive = frozenset(s for s in Strategy if s != Strategy.ORACLE)
+        assert oracle_declines(7, 7) is None
+        assert oracle_declines(7, 7, frozenset(Strategy)) is None
+        assert oracle_declines(0, 0) is None
+        assert "exceeds the oracle bound 7" in oracle_declines(8, 7)
+        assert "oracle disabled" in oracle_declines(3, 16, constructive)
 
     @settings(max_examples=120, deadline=None)
     @given(graphs(min_n=2, max_n=7, min_edges=1))
