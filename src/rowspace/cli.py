@@ -125,7 +125,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-", help="graph6 file, one graph per line ('-' = stdin)")
     p.add_argument("--out", default="-", help="JSONL output file ('-' = stdout)")
     p.add_argument("--oracle-limit", type=int, default=None,
-                   help=f"largest n for the exhaustive fallback, 0..{MAX_ORACLE_LIMIT} "
+                   help=f"largest n for the exhaustive fallback, 0..{MAX_ORACLE_LIMIT}; "
+                        "0 runs the constructive strategies only "
                         "(default: $ROWSPACE_ORACLE_LIMIT or 16)")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.set_defaults(handler=_cmd_verify)

@@ -9,8 +9,8 @@ status=ok record.
 Statuses: ``ok`` (witness found and verified), ``no-witness-found`` (the
 exhaustive oracle ran and no witness exists -- a counterexample), ``skipped``
 (edgeless input, outside the searched property), ``skipped-too-large`` (no
-constructive strategy fired and the oracle declined: see
-``witness.oracle_declines``), ``error`` (unparseable line),
+constructive strategy fired and the oracle declined the graph the search
+ended on: see ``witness.oracle_declines``), ``error`` (unparseable line),
 ``internal-error`` (any other exception, reported as ``"<Type>: <message>"``;
 the stream goes on).
 """
@@ -23,12 +23,12 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .graph import diameter
 from .graph6 import OPTIONAL_HEADER, Graph6ParseError, parse_graph6
 from .linalg import adjacency_matrix, rank
-from .witness import DEFAULT_ORACLE_LIMIT, Strategy, check_oracle_limit, find_witness, oracle_declines
+from .witness import DEFAULT_ORACLE_LIMIT, check_oracle_limit, find_witness, oracle_declines
 
 
 def _fraction_str(value: Fraction) -> str:
@@ -122,11 +122,11 @@ def _stamped(record: VerificationRecord, start: float) -> VerificationRecord:
     return record
 
 
-def _verify_line(args: tuple[str, int, frozenset[Strategy] | None]) -> VerificationRecord:
-    line, oracle_limit, enabled = args
+def _verify_line(args: tuple[str, int]) -> VerificationRecord:
+    line, oracle_limit = args
     start = time.perf_counter()
     try:
-        record = _verify_graph(line, oracle_limit, enabled)
+        record = _verify_graph(line, oracle_limit)
     except Graph6ParseError as exc:
         record = VerificationRecord(line, "error", 0, reason=str(exc))
     except Exception as exc:
@@ -135,9 +135,7 @@ def _verify_line(args: tuple[str, int, frozenset[Strategy] | None]) -> Verificat
     return _stamped(record, start)
 
 
-def _verify_graph(
-    line: str, oracle_limit: int, enabled: frozenset[Strategy] | None
-) -> VerificationRecord:
+def _verify_graph(line: str, oracle_limit: int) -> VerificationRecord:
     g = parse_graph6(line)
     diam = diameter(g)
     record = VerificationRecord(
@@ -153,13 +151,13 @@ def _verify_graph(
         record.status = "skipped"
         record.reason = "graph has no edge; the searched property assumes one"
         return record
-    w = find_witness(g, oracle_limit, enabled=enabled)
+    w = find_witness(g, oracle_limit)
     if w is not None:
         record.strategy = w.strategy.value
         record.witness = "".join(str(b) for b in w.vector)
         record.certificate = [_fraction_str(c) for c in w.certificate.coefficients]
         return record
-    declined = oracle_declines(g.n, oracle_limit, enabled)
+    declined = oracle_declines(g, oracle_limit)
     if declined is None:
         record.status = "no-witness-found"
         record.reason = "exhaustive candidate scan found no witness"
@@ -172,16 +170,15 @@ def _verify_graph(
 def run_verification(
     lines: Iterable[str],
     oracle_limit: int = DEFAULT_ORACLE_LIMIT,
-    strategies_enabled: Sequence[str] | None = None,
     jobs: int = 1,
 ) -> Iterator[VerificationRecord]:
     """One record per effective input line, in input order. At most
     ``os.cpu_count()`` worker processes run, however large ``jobs`` is.
-    An oracle limit outside 0..MAX_ORACLE_LIMIT or an unknown strategy
-    name raises ValueError here, before any line is read."""
+    An oracle limit outside 0..MAX_ORACLE_LIMIT raises ValueError here,
+    before any line is read; ``oracle_limit=0`` runs the constructive
+    strategies only."""
     check_oracle_limit(oracle_limit)
-    enabled = None if strategies_enabled is None else frozenset(map(Strategy, strategies_enabled))
-    work = ((line, oracle_limit, enabled) for line in effective_lines(lines))
+    work = ((line, oracle_limit) for line in effective_lines(lines))
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         return map(_verify_line, work)

@@ -21,7 +21,8 @@ Strategies:
 * catalog-rank5         -- four hard-coded singular rank-5 graphs with
   pinned half-integer row combinations.
 * lifted                -- blow-ups: a witness of the twin-contracted graph
-  block-repeats to a witness of the original.
+  block-repeats to a witness of the original, and the contracted graph's
+  answer is final.
 * oracle                -- exhaustive scan fallback (see rowspace.oracle).
 
 ``find_witness`` dispatches in the fixed order above (cheapest structural
@@ -45,6 +46,7 @@ from .graph import (
     find_adjacent_disjoint_pair,
     induced_subgraph,
     iter_bits,
+    reachable,
 )
 from .linalg import MembershipCertificate
 
@@ -92,13 +94,17 @@ def check_oracle_limit(limit: int, source: str = "oracle limit") -> int:
     return limit
 
 
-def oracle_declines(n: int, limit: int, enabled=None) -> str | None:
-    """None if the oracle scans an n-vertex graph under ``limit`` with the
-    strategy set ``enabled`` (None: all), else why it does not. Only when
-    it scans is a None from ``find_witness`` a proof that no witness exists.
+def oracle_declines(g: Graph, limit: int) -> str | None:
+    """None if the oracle scans the graph ``find_witness`` ends its search
+    on, else why it does not. That graph is the twin contraction of the
+    first component of g with an edge, so its order is the number of
+    distinct neighborhoods in that component. Only when the oracle scans is
+    a None from ``find_witness`` a proof that no witness exists.
     """
-    if enabled is not None and Strategy.ORACLE not in enabled:
-        return "no enabled strategy applied (oracle disabled)"
+    if g.size == 0:
+        raise ValueError("witness search requires a graph with at least one edge")
+    first = next(v for v in range(g.n) if g.adj[v])
+    n = len({g.adj[v] for v in iter_bits(reachable(g.adj, 1 << first))})
     if n > limit:
         return f"no constructive strategy applied and n={n} exceeds the oracle bound {limit}"
     return None
@@ -274,30 +280,12 @@ def _twin_classes(g: Graph) -> list[list[int]] | None:
     return sorted(classes.values())
 
 
-def _witness_by_twin_contraction(g: Graph, oracle_limit: int, enabled) -> StrategyOutcome:
-    """Contract twin classes, find a witness on the reduced graph, lift it.
-
-    The contraction is the blow-up pre-image of g, so the search runs on a
-    strictly smaller graph where the remaining strategies (and the oracle
-    bound) have another chance. The inner witness is verified on the
-    contracted graph, so its lift is a witness too (see ``lift_witness``).
-    """
-    groups = _twin_classes(g)
-    if groups is None:
-        return StrategyOutcome(reason="graph is reduced (no twin vertices)")
-    contracted = induced_subgraph(g, [grp[0] for grp in groups])
-    inner = find_witness(contracted, oracle_limit, enabled=enabled)
-    if inner is None:
-        return StrategyOutcome(reason="no witness on the twin-contracted graph")
-    return StrategyOutcome(_embed(inner, groups, g.n, Strategy.LIFTED))
-
-
 _CONSTRUCTIVE = (
-    (Strategy.COMPLETE, witness_complete),
-    (Strategy.DISJOINT_NBHD, witness_disjoint_nbhd),
-    (Strategy.DIAM_GE4, witness_diam_ge4),
-    (Strategy.DOMINATING_REGULAR, witness_dominating_regular),
-    (Strategy.CATALOG_RANK5, witness_catalog_rank5),
+    witness_complete,
+    witness_disjoint_nbhd,
+    witness_diam_ge4,
+    witness_dominating_regular,
+    witness_catalog_rank5,
 )
 
 
@@ -309,48 +297,41 @@ def _checked(g: Graph, w: Witness) -> Witness:
     return w
 
 
-def find_witness(
-    g: Graph,
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
-    *,
-    enabled=None,
-) -> Witness | None:
+def find_witness(g: Graph, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> Witness | None:
     """First verified witness under the fixed strategy order, else None.
 
-    Requires at least one edge. On a disconnected graph the search runs on
-    the smallest-index component containing an edge and the result is padded
-    with zeros: the padding cannot collide with any row, because rows of
-    that component are excluded by the component-level check and every other
-    row is zero on the component's columns. ``enabled`` restricts the
-    strategy set (default: all). A None return is conclusive only when the
-    oracle ran (see ``oracle_declines``). Raises ValueError for an oracle
-    limit outside 0..MAX_ORACLE_LIMIT.
+    Requires at least one edge. A disconnected graph is searched on its
+    smallest-index component with an edge, a connected graph with twins on
+    its twin contraction (after the constructive strategies), and the
+    witness found there is embedded back (see ``_embed``). Padding a
+    component's witness with zeros cannot hit a row: rows of the component
+    are excluded by the component-level check and every other row is zero
+    on its columns. A blow-up's witnesses are exactly the block repeats of
+    its contraction's, so the smaller graph's answer is final. The oracle
+    runs only on the reduced connected graph the search ends on, and a None
+    return is conclusive only when it ran (see ``oracle_declines``). Raises
+    ValueError for an oracle limit outside 0..MAX_ORACLE_LIMIT.
     """
     check_oracle_limit(oracle_limit)
     if g.size == 0:
         raise ValueError("witness search requires a graph with at least one edge")
-    allowed = (
-        frozenset(Strategy(s) for s in enabled) if enabled is not None else frozenset(Strategy)
-    )
-    if not g.is_connected():
+    if g.is_connected():
+        for strategy in _CONSTRUCTIVE:
+            w = strategy(g).witness
+            if w is not None:
+                return _checked(g, w)
+        classes, embedded_as = _twin_classes(g), Strategy.LIFTED
+    else:
         comp = next(c for c in connected_components(g) if len(c) > 1)
-        inner = find_witness(induced_subgraph(g, comp), oracle_limit, enabled=enabled)
+        classes, embedded_as = [[v] for v in comp], None
+    if classes is not None:
+        inner = find_witness(induced_subgraph(g, [c[0] for c in classes]), oracle_limit)
         if inner is None:
             return None
-        return _checked(g, _embed(inner, [[v] for v in comp], g.n, inner.strategy))
-    for name, strategy in _CONSTRUCTIVE:
-        if name in allowed:
-            outcome = strategy(g)
-            if outcome.witness is not None:
-                return _checked(g, outcome.witness)
-    if Strategy.LIFTED in allowed:
-        outcome = _witness_by_twin_contraction(g, oracle_limit, enabled)
-        if outcome.witness is not None:
-            return _checked(g, outcome.witness)
-    if oracle_declines(g.n, oracle_limit, allowed) is None:
-        from .oracle import brute_force_witness
+        return _checked(g, _embed(inner, classes, g.n, embedded_as or inner.strategy))
+    if oracle_declines(g, oracle_limit) is not None:
+        return None
+    from .oracle import brute_force_witness
 
-        result = brute_force_witness(g, limit=oracle_limit)
-        if result.found:
-            return _checked(g, result.witness)
-    return None
+    w = brute_force_witness(g, limit=oracle_limit).witness
+    return None if w is None else _checked(g, w)

@@ -13,6 +13,7 @@ from collections import deque
 from hypothesis import strategies as st
 
 from rowspace.graph import Graph
+from rowspace.oracle import OracleResult
 
 
 def bfs_oracle(g: Graph, source: int) -> list[float]:
@@ -51,6 +52,36 @@ def all_shortest_paths(g: Graph, u: int, v: int) -> list[tuple[int, ...]]:
     if to_v[u] != math.inf:
         extend([u])
     return out
+
+
+def co_c7() -> Graph:
+    """Complement of the 7-cycle: reduced and connected, and no constructive
+    strategy applies, so only the oracle finds its witness."""
+    full = (1 << 7) - 1
+    return Graph(7, tuple(full ^ 1 << v ^ 1 << (v + 1) % 7 ^ 1 << (v - 1) % 7 for v in range(7)))
+
+
+def disjoint_union(*parts: Graph) -> Graph:
+    """The parts side by side, relabelled in order: part k's vertex v
+    becomes v plus the orders of the parts before it."""
+    adj: list[int] = []
+    for part in parts:
+        offset = len(adj)
+        adj.extend(nb << offset for nb in part.adj)
+    return Graph(len(adj), tuple(adj))
+
+
+class ScanRecorder:
+    """Stand-in for ``rowspace.oracle.brute_force_witness`` that finds no
+    witness and records the order of every graph it is asked to scan."""
+
+    def __init__(self) -> None:
+        self.scanned: list[int] = []
+
+    def __call__(self, g: Graph, limit: int) -> OracleResult:
+        assert g.n <= limit
+        self.scanned.append(g.n)
+        return OracleResult(None, 0)
 
 
 @st.composite

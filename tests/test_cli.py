@@ -1,8 +1,11 @@
 import json
 
 import rowspace.harness
+import rowspace.oracle
+from conftest import ScanRecorder, co_c7, disjoint_union
 from rowspace.cli import main
 from rowspace.families import build
+from rowspace.graph import Graph, multiply_vertices
 from rowspace.graph6 import parse_graph6, write_graph6
 
 
@@ -58,11 +61,38 @@ class TestVerify:
         statuses = [json.loads(line)["status"] for line in out.read_text().splitlines()]
         assert statuses == ["ok", "error"]
 
+    def test_oracle_limit_zero_is_constructive_only(self, tmp_path):
+        source = tmp_path / "graphs.g6"
+        source.write_text(write_graph6(co_c7()) + "\n")
+        out = tmp_path / "report.jsonl"
+        args = ["verify", "--input", str(source), "--out", str(out), "--oracle-limit", "0"]
+        assert main(args) == 0
+        [record] = [json.loads(line) for line in out.read_text().splitlines()]
+        assert (record["status"], record["reason"]) == (
+            "skipped-too-large",
+            "no constructive strategy applied and n=7 exceeds the oracle bound 0",
+        )
+
+    def test_counterexample_on_a_core_within_the_bound(self, tmp_path, monkeypatch):
+        # Both inputs have 20 vertices, above the bound 16, but the search
+        # ends on their 7-vertex core and the oracle scans it: a scan that
+        # finds nothing there is a counterexample, not a skip.
+        recorder = ScanRecorder()
+        monkeypatch.setattr(rowspace.oracle, "brute_force_witness", recorder)
+        core = co_c7()
+        source = tmp_path / "graphs.g6"
+        source.write_text(
+            write_graph6(disjoint_union(core, Graph(13, (0,) * 13))) + "\n"
+            + write_graph6(multiply_vertices(core, (3, 3, 3, 3, 3, 3, 2))) + "\n"
+        )
+        out = tmp_path / "report.jsonl"
+        assert main(["verify", "--input", str(source), "--out", str(out)]) == 3
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [(r["n"], r["status"]) for r in records] == [(20, "no-witness-found")] * 2
+        assert recorder.scanned == [7, 7]
 
     def test_counterexample_exit_code(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            rowspace.harness, "find_witness", lambda g, limit, *, enabled=None: None
-        )
+        monkeypatch.setattr(rowspace.harness, "find_witness", lambda g, limit: None)
         source = tmp_path / "graphs.g6"
         out = tmp_path / "report.jsonl"
         args = ["verify", "--input", str(source), "--out", str(out)]
@@ -77,10 +107,10 @@ class TestVerify:
     def test_internal_error_exit_code(self, tmp_path, monkeypatch):
         real = rowspace.harness.find_witness
 
-        def fails_on_k4(g, limit, *, enabled=None):
+        def fails_on_k4(g, limit):
             if g == build("complete", 4):
                 raise RuntimeError("boom")
-            return real(g, limit, enabled=enabled)
+            return real(g, limit)
 
         monkeypatch.setattr(rowspace.harness, "find_witness", fails_on_k4)
         source = tmp_path / "graphs.g6"

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import rowspace.harness
-from conftest import RecordingPool
+from conftest import RecordingPool, co_c7
 from rowspace.families import build
 from rowspace.graph import Graph
 from rowspace.graph6 import parse_graph6, write_graph6
@@ -26,12 +26,6 @@ def record_witness(record) -> Witness:
     vector = tuple(int(ch) for ch in record.witness)
     coeffs = tuple(Fraction(s) for s in record.certificate)
     return Witness(vector, MembershipCertificate(coeffs, vector), Strategy(record.strategy))
-
-
-def co_c7() -> Graph:
-    c7 = build("cycle", 7)
-    full = (1 << 7) - 1
-    return Graph(7, tuple(full ^ nb ^ (1 << v) for v, nb in enumerate(c7.adj)))
 
 
 class TestEffectiveLines:
@@ -127,10 +121,7 @@ class TestRunVerification:
 
     def test_no_witness_status_requires_oracle(self):
         # constructive-only run on a graph only the oracle can handle
-        constructive = [s.value for s in Strategy if s != Strategy.ORACLE]
-        [record] = run_verification(
-            [write_graph6(co_c7())], strategies_enabled=constructive
-        )
+        [record] = run_verification([write_graph6(co_c7())], oracle_limit=0)
         assert record.status == "skipped-too-large"
         [record] = run_verification([write_graph6(co_c7())])
         assert record.status == "ok"
@@ -175,15 +166,7 @@ class TestRunVerification:
             "skipped-too-large",
             "no constructive strategy applied and n=7 exceeds the oracle bound 3",
         )
-        constructive = [s.value for s in Strategy if s != Strategy.ORACLE]
-        [record] = run_verification([line], strategies_enabled=constructive)
-        assert (record.status, record.reason) == (
-            "skipped-too-large",
-            "no enabled strategy applied (oracle disabled)",
-        )
-        monkeypatch.setattr(
-            rowspace.harness, "find_witness", lambda g, limit, *, enabled=None: None
-        )
+        monkeypatch.setattr(rowspace.harness, "find_witness", lambda g, limit: None)
         [record] = run_verification([line])
         assert (record.status, record.reason) == (
             "no-witness-found",
@@ -203,19 +186,15 @@ class TestRunVerification:
         with pytest.raises(ValueError, match=f"outside 0..{MAX_ORACLE_LIMIT}"):
             run_verification(["C~"], oracle_limit=limit)
 
-    def test_unknown_strategy_rejected_when_called(self):
-        with pytest.raises(ValueError):
-            run_verification(["C~"], strategies_enabled=["no-such-strategy"])
-
     def test_internal_error_keeps_streaming(self, monkeypatch):
         real = rowspace.harness.find_witness
         calls = []
 
-        def fails_on_second(g, limit, *, enabled=None):
+        def fails_on_second(g, limit):
             calls.append(g)
             if len(calls) == 2:
                 raise RuntimeError("strategy produced an invalid witness")
-            return real(g, limit, enabled=enabled)
+            return real(g, limit)
 
         monkeypatch.setattr(rowspace.harness, "find_witness", fails_on_second)
         lines = [write_graph6(build("cycle", n)) for n in (4, 5, 6)]

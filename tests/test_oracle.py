@@ -16,8 +16,6 @@ from rowspace.oracle import (
 )
 from rowspace.witness import MAX_ORACLE_LIMIT, Strategy, find_witness, verify_witness
 
-CONSTRUCTIVE = tuple(s for s in Strategy if s != Strategy.ORACLE)
-
 
 class TestBruteForce:
     def test_star(self):
@@ -89,7 +87,7 @@ class TestEnumerate:
     @given(graphs(min_n=2, max_n=10, min_edges=1))
     def test_contains_every_strategy_witness(self, g):
         found = enumerate_all_witnesses(g)
-        w = find_witness(g, enabled=CONSTRUCTIVE)
+        w = find_witness(g, oracle_limit=0)
         if w is not None:
             assert w.vector in found
 
@@ -178,7 +176,7 @@ class TestConsistency:
     @settings(max_examples=80, deadline=None)
     @given(graphs(min_n=2, max_n=10, min_edges=1))
     def test_strategy_success_implies_oracle_success(self, g):
-        w = find_witness(g, enabled=CONSTRUCTIVE)
+        w = find_witness(g, oracle_limit=0)
         if w is not None:
             assert verify_witness(g, w)
             assert brute_force_witness(g).found

@@ -6,7 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as reference
-from conftest import graphs, long_diameter_graphs
+import rowspace.oracle
+import rowspace.witness
+from conftest import ScanRecorder, co_c7, disjoint_union, graphs, long_diameter_graphs
 from rowspace.families import build
 from rowspace.graph import (
     Graph,
@@ -32,6 +34,15 @@ from rowspace.witness import (
 )
 
 HALF = Fraction(1, 2)
+
+
+def labeled_graphs(max_n: int):
+    """Every labeled graph with at least one edge and 2 <= n <= max_n, edge
+    masks ascending over the graph6 pair order (0,1), (0,2), (1,2), ..."""
+    for n in range(2, max_n + 1):
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        for mask in range(1, 1 << len(pairs)):
+            yield Graph.from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
 
 
 class TestComplete:
@@ -272,17 +283,9 @@ class TestFindWitness:
         assert w.vector == (0, 1, 0, 0, 1, 0)
         assert w.strategy == Strategy.COMPLETE
 
-    def test_strategy_filter(self):
-        g = build("path", 5)
-        w = find_witness(g, enabled=[Strategy.DIAM_GE4])
-        assert w.strategy == Strategy.DIAM_GE4
-        assert find_witness(g, enabled=[Strategy.COMPLETE]) is None
-
     def test_oracle_limit_respected(self):
         # complement of the 7-cycle defeats every constructive strategy
-        c7 = build("cycle", 7)
-        full = (1 << 7) - 1
-        g = Graph(7, tuple(full ^ nb ^ (1 << v) for v, nb in enumerate(c7.adj)))
+        g = co_c7()
         assert find_witness(g, oracle_limit=3) is None
         w = find_witness(g)
         assert w is not None and w.strategy == Strategy.ORACLE
@@ -294,12 +297,26 @@ class TestFindWitness:
             find_witness(build("path", 3), oracle_limit=limit)
 
     def test_oracle_declines(self):
-        constructive = frozenset(s for s in Strategy if s != Strategy.ORACLE)
-        assert oracle_declines(7, 7) is None
-        assert oracle_declines(7, 7, frozenset(Strategy)) is None
-        assert oracle_declines(0, 0) is None
-        assert "exceeds the oracle bound 7" in oracle_declines(8, 7)
-        assert "oracle disabled" in oracle_declines(3, 16, constructive)
+        # judged on the graph the search ends on (see TestSearchEnd)
+        g = co_c7()
+        assert oracle_declines(g, 7) is None
+        assert oracle_declines(g, 6) == (
+            "no constructive strategy applied and n=7 exceeds the oracle bound 6"
+        )
+        # disconnected: the first component with an edge, not the input
+        padded = disjoint_union(Graph(1, (0,)), g, Graph(12, (0,) * 12))
+        assert oracle_declines(padded, 7) is None
+        assert "n=7 exceeds the oracle bound 6" in oracle_declines(padded, 6)
+        # ... and not the largest component either
+        edge_first = disjoint_union(Graph(1, (0,)), build("complete", 2), g)
+        assert oracle_declines(edge_first, 2) is None
+        assert "n=2 exceeds the oracle bound 1" in oracle_declines(edge_first, 1)
+        # twins: the order of the contraction, one vertex per neighborhood
+        blown = multiply_vertices(g, (2, 3, 1, 1, 2, 1, 4))
+        assert oracle_declines(blown, 7) is None
+        assert "n=7 exceeds the oracle bound 6" in oracle_declines(blown, 6)
+        with pytest.raises(ValueError):
+            oracle_declines(Graph(3, (0, 0, 0)), 16)
 
     @settings(max_examples=120, deadline=None)
     @given(graphs(min_n=2, max_n=7, min_edges=1))
@@ -307,6 +324,35 @@ class TestFindWitness:
         w = find_witness(g)
         assert w is not None
         assert verify_witness(g, w)
+
+
+class TestSearchEnd:
+    """The search ends on the twin contraction of the first component with
+    an edge. The oracle scans that graph at most once, and
+    ``oracle_declines`` judges the bound on that graph, not on the input."""
+
+    def test_blowup_scans_only_its_contraction(self, monkeypatch):
+        recorder = ScanRecorder()
+        monkeypatch.setattr(rowspace.oracle, "brute_force_witness", recorder)
+        assert find_witness(multiply_vertices(co_c7(), (2,) * 7)) is None
+        assert recorder.scanned == [7]
+
+    def test_declines_exactly_when_not_scanned(self, monkeypatch):
+        # With every constructive strategy gone and an oracle that finds
+        # nothing, each search runs to its end, so the scan (or its absence)
+        # shows where find_witness ended and whether oracle_declines agrees.
+        recorder = ScanRecorder()
+        monkeypatch.setattr(rowspace.oracle, "brute_force_witness", recorder)
+        monkeypatch.setattr(rowspace.witness, "_CONSTRUCTIVE", ())
+        count = 0
+        for g in labeled_graphs(5):
+            count += 1
+            for limit in range(6):
+                recorder.scanned.clear()
+                assert find_witness(g, limit) is None
+                assert len(recorder.scanned) <= 1
+                assert (oracle_declines(g, limit) is None) == bool(recorder.scanned)
+        assert count == 1094
 
 
 class TestVerifyWitness:
@@ -395,17 +441,14 @@ class TestWitnessIdentity:
         digest = hashlib.sha256()
         count = 0
         by_kind: dict[str, int] = {}
-        for n in range(2, 6):
-            pairs = [(i, j) for j in range(n) for i in range(j)]
-            for mask in range(1, 1 << len(pairs)):
-                g = Graph.from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
-                w = find_witness(g)
-                vector = "".join(map(str, w.vector))
-                cert = ",".join(f"{c.numerator}/{c.denominator}" for c in w.certificate.coefficients)
-                digest.update(f"{vector} {cert} {w.strategy.value}\n".encode())
-                count += 1
-                kind = w.strategy.value if g.is_connected() else "padded"
-                by_kind[kind] = by_kind.get(kind, 0) + 1
+        for g in labeled_graphs(5):
+            w = find_witness(g)
+            vector = "".join(map(str, w.vector))
+            cert = ",".join(f"{c.numerator}/{c.denominator}" for c in w.certificate.coefficients)
+            digest.update(f"{vector} {cert} {w.strategy.value}\n".encode())
+            count += 1
+            kind = w.strategy.value if g.is_connected() else "padded"
+            by_kind[kind] = by_kind.get(kind, 0) + 1
         assert count == 1094
         # every embedding caller and the oracle are exercised
         assert (by_kind["padded"], by_kind["lifted"], by_kind["oracle"]) == (323, 26, 90)
