@@ -7,7 +7,6 @@ Khosrovshahi asserts for every graph with at least one edge.
 """
 
 from .graph import (
-    DisconnectedGraphError,
     Graph,
     connected_components,
     diameter,
@@ -21,7 +20,6 @@ from .graph import (
 from .linalg import (
     MembershipCertificate,
     adjacency_matrix,
-    is_row,
     nullity,
     rank,
     solve_membership,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from contextlib import ExitStack
@@ -39,9 +38,13 @@ def resolve_oracle_limit(explicit: int | None = None) -> int:
 
 
 def _open_input(stack: ExitStack, path: str) -> IO[str]:
+    """graph6 text decoded as latin-1 from a file or stdin alike: each byte
+    is one character, so a non-ASCII byte reaches the parser, which reports
+    it with its byte offset, and the stream goes on."""
     if path == "-":
+        sys.stdin.reconfigure(encoding="latin-1")
         return sys.stdin
-    return stack.enter_context(open(path, "r", encoding="ascii"))
+    return stack.enter_context(open(path, "r", encoding="latin-1"))
 
 
 def _open_output(stack: ExitStack, path: str) -> IO[str]:
@@ -93,7 +96,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
     print(f"family:   {args.name}" + (f" (size {args.size})" if args.size else ""))
     print(f"order:    {g.n}")
     print(f"edges:    {g.size}")
-    print(f"diameter: {'infinite' if math.isinf(diam) else int(diam)}")
+    print(f"diameter: {'infinite' if diam is None else diam}")
     print(f"rank:     {rank(adjacency_matrix(g))}")
     print(f"graph6:   {line}")
     return 0

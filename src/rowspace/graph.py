@@ -4,22 +4,20 @@ Vertices are labelled 0..n-1. Each neighborhood is stored as a Python int
 used as a bitset: bit j of ``adj[i]`` is set iff i and j are adjacent.
 Graphs are immutable after construction and every operation here is a pure
 function, so instances can be shared freely between worker processes.
+
+Distances come from one routine, ``diametral_geodesic``: an all-sources
+expansion of bitset balls that yields the diameter and a diametral
+geodesic together. ``None`` is the only way a distance routine says that a
+graph is disconnected.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 #: Multiplicity vector for a blow-up: one positive integer per vertex.
 MultiplicityVector = Sequence[int]
-
-INFINITY = math.inf
-
-
-class DisconnectedGraphError(ValueError):
-    """Raised by operations that need a connected graph."""
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -82,9 +80,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(iter_bits(self.adj[v]))
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
@@ -123,72 +118,66 @@ def is_reduced(g: Graph) -> bool:
     return len(set(g.adj)) == g.n
 
 
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Distances from ``source``; -1 for unreachable vertices."""
-    dist = [-1] * g.n
-    dist[source] = 0
-    seen = 1 << source
-    frontier = seen
-    d = 0
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= g.adj[v]
-        nxt &= ~seen
-        d += 1
-        for v in iter_bits(nxt):
-            dist[v] = d
-        seen |= nxt
-        frontier = nxt
-    return dist
+def diameter(g: Graph) -> int | None:
+    """Largest pairwise distance; None iff the graph is disconnected."""
+    path = diametral_geodesic(g)
+    return None if path is None else len(path) - 1
 
 
-def diameter(g: Graph) -> int | float:
-    """Largest pairwise distance; ``math.inf`` iff the graph is disconnected."""
-    best = 0
-    for v in range(g.n):
-        dist = bfs_distances(g, v)
-        if -1 in dist:
-            return INFINITY
-        best = max(best, max(dist))
-    return best
-
-
-@dataclass(frozen=True)
-class PathWitnessContext:
-    """A geodesic realizing the diameter: ``path`` has ``ell`` + 1 vertices."""
-
-    path: tuple[int, ...]
-    ell: int
-
-
-def diametral_geodesic(g: Graph) -> PathWitnessContext:
-    """Deterministic shortest path between a pair at maximum distance.
+def diametral_geodesic(g: Graph) -> tuple[int, ...] | None:
+    """Deterministic shortest path between a pair at maximum distance, or
+    None iff the graph is disconnected; its length is the diameter.
 
     Ties are broken by the lexicographically smallest endpoint pair (u, v)
     with u < v, then by the lexicographically smallest vertex sequence among
     shortest u-v paths.
+
+    All balls grow together: round k sets ball[v] |= ball[w] for every
+    neighbour w of v, so ball[v] holds the vertices within distance k of v.
+    A ball that does not grow in a round is its component and never grows
+    again, so each round visits only the balls that grew in the last one,
+    and the expansion stops at the first round where none grows. The
+    diameter is the number of rounds that grew. u is the first vertex whose
+    ball grew in the last of them, and v the lowest vertex outside u's ball
+    before that round. Only two rounds of balls are alive at a time.
     """
-    dists = [bfs_distances(g, v) for v in range(g.n)]
-    if any(-1 in row for row in dists):
-        raise DisconnectedGraphError("no geodesic: graph is disconnected")
-    diam = max(max(row) for row in dists)
-    if diam == 0:
-        return PathWitnessContext((0,), 0)
-    u, v = next(
-        (i, j)
-        for i in range(g.n)
-        for j in range(i + 1, g.n)
-        if dists[i][j] == diam
-    )
-    # Greedy smallest next vertex that stays on a shortest u-v path.
-    to_v = dists[v]
+    full = (1 << g.n) - 1
+    nbrs = [tuple(iter_bits(nb)) for nb in g.adj]
+    balls = [1 << v for v in range(g.n)]
+    active: Iterable[int] = range(g.n)
+    ell = u = inner = 0
+    while True:
+        grown = balls[:]
+        moved = []
+        for v in active:
+            ball = balls[v]
+            for w in nbrs[v]:
+                ball |= balls[w]
+            if ball != balls[v]:
+                grown[v] = ball
+                moved.append(v)
+        if not moved:
+            break
+        ell, u, inner = ell + 1, moved[0], balls[moved[0]]
+        balls, active = grown, moved
+    if balls[0] != full:
+        return None
+    outside = full & ~inner
+    # rings[k] is the ball of radius k around v, for k < ell; a greedy walk
+    # from u that steps to its lowest neighbour in the next smaller ring is
+    # the lexicographically smallest shortest u-v path.
+    rings: list[int] = []
+    ring = frontier = outside & -outside
+    for _ in range(ell):
+        rings.append(ring)
+        for w in iter_bits(frontier):
+            ring |= g.adj[w]
+        frontier = ring & ~rings[-1]
     path = [u]
-    cur = u
-    while cur != v:
-        cur = next(w for w in iter_bits(g.adj[cur]) if to_v[w] == to_v[cur] - 1)
-        path.append(cur)
-    return PathWitnessContext(tuple(path), diam)
+    for ring in reversed(rings):
+        step = g.adj[path[-1]] & ring
+        path.append((step & -step).bit_length() - 1)
+    return tuple(path)
 
 
 def connected_components(g: Graph) -> list[list[int]]:

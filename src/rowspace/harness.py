@@ -1,10 +1,10 @@
 """Batch verification over graph6 streams with JSONL reports.
 
 Each input line becomes one record. Rationals are serialized as "p/q"
-strings so reports stay exact; an infinite diameter (disconnected input)
-serializes as null. Records are self-verifying: re-parsing a record's
-graph6 and re-checking its witness and certificate succeeds for every
-status=ok record.
+strings so reports stay exact; the diameter of a disconnected input is
+None and serializes as null. Records are self-verifying: re-parsing a
+record's graph6 and re-checking its witness and certificate succeeds for
+every status=ok record.
 
 Statuses: ``ok`` (witness found and verified), ``no-witness-found`` (the
 exhaustive oracle ran and no witness exists -- a counterexample), ``skipped``
@@ -17,8 +17,8 @@ the stream goes on).
 
 from __future__ import annotations
 
-import math
 import os
+import string
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +43,7 @@ class VerificationRecord:
     elapsed_us: int = 0
     n: int | None = None
     edges: int | None = None
-    diameter: int | None = None  # None means infinite once n is set
+    diameter: int | None = None  # None means disconnected once n is set
     rank: int | None = None
     strategy: str | None = None
     witness: str | None = None
@@ -74,7 +74,7 @@ class SizeBoundRecord:
     order: int | None = None
     size: int | None = None
     has_dominating: bool | None = None
-    diameter: int | None = None  # None means infinite once order is set
+    diameter: int | None = None  # None means disconnected once order is set
     bound_2n_minus_5: int | None = None
     meets_bound: bool | None = None
     equality: bool | None = None
@@ -106,11 +106,13 @@ class SizeBoundRecord:
 
 
 def effective_lines(lines: Iterable[str]) -> Iterator[str]:
-    """Strip whitespace, drop blanks and the optional '>>graph6<<' header."""
+    """Strip ASCII whitespace, drop blanks and the optional '>>graph6<<'
+    header. Other characters stay for the parser to reject: a latin-1 0xA0
+    at the end of a line is an error, not padding."""
     for raw in lines:
-        line = raw.strip()
+        line = raw.strip(string.whitespace)
         if line.startswith(OPTIONAL_HEADER):
-            line = line[len(OPTIONAL_HEADER) :].strip()
+            line = line[len(OPTIONAL_HEADER) :].strip(string.whitespace)
         if line:
             yield line
 
@@ -137,14 +139,13 @@ def _verify_line(args: tuple[str, int]) -> VerificationRecord:
 
 def _verify_graph(line: str, oracle_limit: int) -> VerificationRecord:
     g = parse_graph6(line)
-    diam = diameter(g)
     record = VerificationRecord(
         graph6=line,
         status="ok",
         elapsed_ms=0,
         n=g.n,
         edges=g.size,
-        diameter=None if math.isinf(diam) else int(diam),
+        diameter=diameter(g),
         rank=rank(adjacency_matrix(g)),
     )
     if g.size == 0:
@@ -198,14 +199,13 @@ def check_size_bound(lines: Iterable[str]) -> Iterator[SizeBoundRecord]:
         except Graph6ParseError as exc:
             yield SizeBoundRecord(graph6=line, error=str(exc))
             continue
-        diam = diameter(g)
         bound = 2 * g.n - 5
         yield SizeBoundRecord(
             graph6=line,
             order=g.n,
             size=g.size,
             has_dominating=any(g.degree(v) == g.n - 1 for v in range(g.n)),
-            diameter=None if math.isinf(diam) else int(diam),
+            diameter=diameter(g),
             bound_2n_minus_5=bound,
             meets_bound=g.size >= bound,
             equality=g.size == bound,

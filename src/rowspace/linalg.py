@@ -140,14 +140,3 @@ def solve_membership(rows: Sequence[Sequence[int]], x: Sequence[int]) -> Members
         raise RuntimeError("certificate failed exact re-verification")
     return MembershipCertificate(tuple(Fraction(num, denom) for num in nums), target)
 
-
-def is_row(rows: Sequence[Sequence[int]], x: Sequence[int]) -> int | None:
-    """Smallest index of a row equal to x, or None."""
-    ncols = _width(rows)
-    if len(x) != ncols:
-        raise ValueError(f"vector has length {len(x)}, matrix has {ncols} columns")
-    target = list(x)
-    for i, row in enumerate(rows):
-        if list(row) == target:
-            return i
-    return None

@@ -172,12 +172,12 @@ def witness_disjoint_nbhd(g: Graph) -> StrategyOutcome:
 
 def witness_diam_ge4(g: Graph) -> StrategyOutcome:
     """Row sum over positions 1 and l of a diametral geodesic p_0..p_l."""
-    if not g.is_connected():
+    path = diametral_geodesic(g)
+    if path is None:
         return StrategyOutcome(reason="graph is disconnected")
-    geo = diametral_geodesic(g)
-    if geo.ell < 4:
-        return StrategyOutcome(reason=f"diameter {geo.ell} < 4")
-    return _row_pair_sum(g, geo.path[1], geo.path[-1], Strategy.DIAM_GE4)
+    if len(path) < 5:
+        return StrategyOutcome(reason=f"diameter {len(path) - 1} < 4")
+    return _row_pair_sum(g, path[1], path[-1], Strategy.DIAM_GE4)
 
 
 def witness_dominating_regular(g: Graph) -> StrategyOutcome:

@@ -16,9 +16,10 @@ from rowspace.graph import Graph
 from rowspace.oracle import OracleResult
 
 
-def bfs_oracle(g: Graph, source: int) -> list[float]:
+def bfs_oracle(g: Graph, source: int, nbrs: list[list[int]] | None = None) -> list[float]:
     """Plain queue BFS over adjacency lists; math.inf for unreachable."""
-    nbrs = {v: [u for u in range(g.n) if (g.adj[v] >> u) & 1] for v in range(g.n)}
+    if nbrs is None:
+        nbrs = neighbor_lists(g)
     dist: list[float] = [math.inf] * g.n
     dist[source] = 0
     queue = deque([source])
@@ -31,8 +32,30 @@ def bfs_oracle(g: Graph, source: int) -> list[float]:
     return dist
 
 
-def diameter_oracle(g: Graph) -> float:
-    return max(d for v in range(g.n) for d in bfs_oracle(g, v))
+def neighbor_lists(g: Graph) -> list[list[int]]:
+    return [[u for u in range(g.n) if (g.adj[v] >> u) & 1] for v in range(g.n)]
+
+
+def distance_table(g: Graph) -> list[list[float]]:
+    nbrs = neighbor_lists(g)
+    return [bfs_oracle(g, v, nbrs) for v in range(g.n)]
+
+
+def diameter_oracle(g: Graph) -> int | None:
+    """Largest pairwise distance; None when g is disconnected."""
+    diam = max(d for row in distance_table(g) for d in row)
+    return None if diam == math.inf else diam
+
+
+def oracle_geodesic(g: Graph) -> tuple[int, ...] | None:
+    """Lexicographically smallest shortest path between the lexicographically
+    smallest pair u < v at maximum distance; None when g is disconnected."""
+    dist = distance_table(g)
+    diam = max(d for row in dist for d in row)
+    if diam == math.inf:
+        return None
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if dist[u][v] == diam]
+    return min(all_shortest_paths(g, *min(pairs, default=(0, 0))))
 
 
 def all_shortest_paths(g: Graph, u: int, v: int) -> list[tuple[int, ...]]:

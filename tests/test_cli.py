@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import rowspace.harness
 import rowspace.oracle
@@ -7,6 +9,24 @@ from rowspace.cli import main
 from rowspace.families import build
 from rowspace.graph import Graph, multiply_vertices
 from rowspace.graph6 import parse_graph6, write_graph6
+
+#: A line of one non-ASCII character (UTF-8 e-acute) and one ending in a
+#: latin-1 no-break space, between two valid lines.
+NON_ASCII_LINES = b"Dhc\n\xc3\xa9\nDhc\xa0\nDhc\n"
+
+
+def _from_file_and_stdin(tmp_path, monkeypatch, command: str, data: bytes):
+    """(exit code, JSON records) of ``command`` reading ``data`` from a file,
+    then from a UTF-8 stdin."""
+    source = tmp_path / "input.g6"
+    source.write_bytes(data)
+    runs = []
+    for k, path in enumerate([str(source), "-"]):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        out = tmp_path / f"out{k}.jsonl"
+        code = main([command, "--input", path, "--out", str(out)])
+        runs.append((code, [json.loads(line) for line in out.read_text().splitlines()]))
+    return runs
 
 
 class TestFamily:
@@ -60,6 +80,18 @@ class TestVerify:
         assert main(["verify", "--input", str(source), "--out", str(out)]) == 1
         statuses = [json.loads(line)["status"] for line in out.read_text().splitlines()]
         assert statuses == ["ok", "error"]
+
+    def test_non_ascii_bytes_are_error_records(self, tmp_path, monkeypatch):
+        runs = _from_file_and_stdin(tmp_path, monkeypatch, "verify", NON_ASCII_LINES)
+        for code, records in runs:
+            assert code == 1
+            assert [r["status"] for r in records] == ["ok", "error", "error", "ok"]
+            assert [r["graph6"] for r in records[1:3]] == ["\xc3\xa9", "Dhc\xa0"]
+            assert records[1]["reason"] == "byte '\xc3' outside graph6 range (byte offset 0)"
+            assert records[2]["reason"] == "trailing garbage after graph6 data (byte offset 3)"
+            for r in records:
+                del r["elapsed_ms"], r["elapsed_us"]
+        assert runs[0] == runs[1]
 
     def test_oracle_limit_zero_is_constructive_only(self, tmp_path):
         source = tmp_path / "graphs.g6"
@@ -173,3 +205,14 @@ class TestSizeBound:
         source = tmp_path / "bad.g6"
         source.write_text("!!!\n")
         assert main(["size-bound", "--input", str(source), "--out", "-"]) == 1
+
+    def test_non_ascii_bytes_are_error_records(self, tmp_path, monkeypatch):
+        runs = _from_file_and_stdin(tmp_path, monkeypatch, "size-bound", NON_ASCII_LINES)
+        for code, records in runs:
+            assert code == 1
+            assert [r.get("error") is None for r in records] == [True, False, False, True]
+            assert records[1] == {
+                "graph6": "\xc3\xa9",
+                "error": "byte '\xc3' outside graph6 range (byte offset 0)",
+            }
+        assert runs[0] == runs[1]

@@ -1,14 +1,13 @@
-import math
+import tracemalloc
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_shortest_paths, bfs_oracle, diameter_oracle, graphs, connected_graphs
+from conftest import diameter_oracle, graphs, connected_graphs, oracle_geodesic
 from rowspace.families import build, petersen
 from rowspace.graph import (
-    DisconnectedGraphError,
     Graph,
     connected_components,
     diameter,
@@ -19,6 +18,7 @@ from rowspace.graph import (
     is_reduced,
     multiply_vertices,
 )
+from rowspace.oracle import iter_connected_graphs
 
 
 def kneser_petersen() -> Graph:
@@ -96,7 +96,7 @@ class TestDiameter:
 
     def test_disconnected_is_infinite(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        assert diameter(g) == math.inf
+        assert diameter(g) is None
 
     @settings(max_examples=150)
     @given(graphs(max_n=8))
@@ -111,41 +111,67 @@ class TestDiameter:
 
 class TestDiametralGeodesic:
     def test_path_five(self):
-        geo = diametral_geodesic(build("path", 5))
-        assert geo.path == (0, 1, 2, 3, 4)
-        assert geo.ell == 4
+        assert diametral_geodesic(build("path", 5)) == (0, 1, 2, 3, 4)
 
     def test_nine_cycle_tie_break(self):
-        geo = diametral_geodesic(build("cycle", 9))
-        assert geo.ell == 4
-        assert geo.path == (0, 1, 2, 3, 4)  # lexicographically smallest
+        # lexicographically smallest
+        assert diametral_geodesic(build("cycle", 9)) == (0, 1, 2, 3, 4)
 
     def test_complete_single_edge(self):
-        geo = diametral_geodesic(build("complete", 4))
-        assert geo.ell == 1
-        assert geo.path == (0, 1)
+        assert diametral_geodesic(build("complete", 4)) == (0, 1)
 
-    def test_disconnected_raises(self):
-        with pytest.raises(DisconnectedGraphError):
-            diametral_geodesic(Graph.from_edges(3, [(0, 1)]))
+    def test_single_vertex(self):
+        assert diametral_geodesic(Graph(1, (0,))) == (0,)
+
+    def test_disconnected_is_none(self):
+        assert diametral_geodesic(Graph.from_edges(3, [(0, 1)])) is None
+        assert diametral_geodesic(Graph(2, (0, 0))) is None
 
     @settings(max_examples=100)
     @given(connected_graphs(max_n=7))
     def test_geodesic_is_lex_smallest_shortest_path(self, g):
-        geo = diametral_geodesic(g)
-        assert geo.ell == diameter_oracle(g)
-        assert len(set(geo.path)) == len(geo.path)
-        for a, b in zip(geo.path, geo.path[1:]):
-            assert g.has_edge(a, b)
-        u, v = geo.path[0], geo.path[-1]
-        pairs = [
-            (i, j)
-            for i in range(g.n)
-            for j in range(i + 1, g.n)
-            if bfs_oracle(g, i)[j] == geo.ell
-        ]
-        assert (u, v) == min(pairs)
-        assert geo.path == min(all_shortest_paths(g, u, v))
+        assert diametral_geodesic(g) == oracle_geodesic(g)
+
+
+class TestDistanceDifferential:
+    """diameter and diametral_geodesic against the deque-BFS oracle on every
+    small graph, not a sample."""
+
+    def test_every_labeled_graph_up_to_five(self):
+        checked = 0
+        for n in range(1, 6):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = Graph.from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+                expected = oracle_geodesic(g)
+                assert diametral_geodesic(g) == expected, g
+                assert diameter(g) == (None if expected is None else len(expected) - 1), g
+                checked += 1
+        assert checked == 1 + 2 + 8 + 64 + 1024
+
+    def test_every_connected_graph_on_six(self):
+        graphs6 = list(iter_connected_graphs(6))
+        assert len(graphs6) == 26_704
+        for g in graphs6:
+            expected = oracle_geodesic(g)
+            assert diametral_geodesic(g) == expected, g
+            assert diameter(g) == len(expected) - 1, g
+
+
+class TestDistanceMemory:
+    def test_long_path_stays_small(self):
+        # A table of balls per round would hold about 36 MB on P600.
+        g = build("path", 600)
+        tracemalloc.start()
+        try:
+            diam = diameter(g)
+            path = diametral_geodesic(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert diam == 599
+        assert path == tuple(range(600))
+        assert peak < 8 * 1024 * 1024
 
 
 class TestMultiplyVertices:

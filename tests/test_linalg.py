@@ -14,7 +14,6 @@ from rowspace.graph import Graph, multiply_vertices
 from rowspace.linalg import (
     adjacency_matrix,
     integer_row_echelon,
-    is_row,
     nullity,
     rank,
     solve_membership,
@@ -49,8 +48,6 @@ class TestIntegerRows:
             rank([[1, 2], [3]])
         with pytest.raises(ValueError):
             solve_membership([[1, 2], [3]], (1, 1))
-        with pytest.raises(ValueError):
-            is_row([[1, 2], [3]], (1, 2))
 
     def test_transpose_round_trip(self):
         rows = [[1, 2, 3], [4, 5, 6]]
@@ -216,27 +213,6 @@ class TestSolveMembership:
         member = solve_membership(M, x) is not None
         augmented_rank = len(integer_row_echelon(M + [list(x)])[1])
         assert member == (augmented_rank == rank(M))
-
-
-class TestIsRow:
-    def test_star_examples(self):
-        M = adjacency_matrix(build("star", 4))
-        assert is_row(M, (1, 1, 1, 1, 1)) is None
-        assert is_row(M, (0, 1, 1, 1, 1)) == 0
-        assert is_row(M, (1, 0, 0, 0, 0)) == 1  # smallest matching index
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            is_row(adjacency_matrix(build("cycle", 3)), (1, 0))
-
-    @settings(max_examples=60, deadline=None)
-    @given(graphs(max_n=6), st.data())
-    def test_own_rows_found(self, g, data):
-        M = adjacency_matrix(g)
-        k = data.draw(st.integers(0, g.n - 1))
-        found = is_row(M, tuple(M[k]))
-        assert found is not None
-        assert M[found] == M[k]
 
 
 class TestDifferentialAgainstFractionReference:

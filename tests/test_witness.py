@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 import fraction_reference as reference
 import rowspace.oracle
 import rowspace.witness
-from conftest import ScanRecorder, co_c7, disjoint_union, graphs, long_diameter_graphs
+from conftest import (
+    ScanRecorder,
+    co_c7,
+    disjoint_union,
+    graphs,
+    long_diameter_graphs,
+    oracle_geodesic,
+)
 from rowspace.families import build
 from rowspace.graph import (
     Graph,
@@ -107,9 +114,35 @@ class TestDiamGe4:
     def test_petersen_inapplicable(self):
         out = witness_diam_ge4(build("petersen"))
         assert out.witness is None
+        assert out.reason == "diameter 2 < 4"
 
     def test_disconnected_inapplicable(self):
-        assert witness_diam_ge4(Graph.from_edges(6, [(0, 1), (2, 3)])).witness is None
+        out = witness_diam_ge4(Graph.from_edges(6, [(0, 1), (2, 3)]))
+        assert out.witness is None
+        assert out.reason == "graph is disconnected"
+
+    def test_cycle_squares_match_oracle_geodesic(self):
+        # C_k^2 has diameter ceil(floor(k/2) / 2), so the strategy fires
+        # from k = 14 on; its rows come from positions 1 and l of the
+        # oracle's geodesic.
+        fired = 0
+        for k in range(9, 65):
+            g = Graph.from_edges(k, [(i, (i + s) % k) for i in range(k) for s in (1, 2)])
+            path = oracle_geodesic(g)
+            out = witness_diam_ge4(g)
+            if len(path) < 5:
+                assert out.witness is None
+                assert out.reason == f"diameter {len(path) - 1} < 4"
+                continue
+            a, b = path[1], path[-1]
+            coeffs = [Fraction(0)] * k
+            coeffs[a] = coeffs[b] = Fraction(1)
+            row_sum = tuple((g.adj[a] >> j & 1) + (g.adj[b] >> j & 1) for j in range(k))
+            assert out.witness.vector == row_sum
+            assert out.witness.certificate.coefficients == tuple(coeffs)
+            assert verify_witness(g, out.witness)
+            fired += 1
+        assert fired == 64 - 13
 
     @settings(max_examples=60)
     @given(long_diameter_graphs())
@@ -121,7 +154,7 @@ class TestDiamGe4:
         assert verify_witness(g, w)
         # on the geodesic the vector is forced: row p1 hits p0 and p2, row
         # p_l hits p_{l-1}, and nothing else on the path survives
-        path = diametral_geodesic(g).path
+        path = diametral_geodesic(g)
         expected_on_path = {path[0], path[2], path[-2]}
         for pos, v in enumerate(path):
             assert w.vector[v] == (1 if v in expected_on_path else 0), (path, pos)
