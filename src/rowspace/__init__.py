@@ -8,7 +8,6 @@ Khosrovshahi asserts for every graph with at least one edge.
 
 from .graph import (
     Graph,
-    connected_components,
     diameter,
     diametral_geodesic,
     duplicate_vertex,
@@ -25,7 +24,6 @@ from .linalg import (
     solve_membership,
 )
 from .families import (
-    FamilySpec,
     build,
     h_family_generate,
     kotlov_lovasz_n,

@@ -9,7 +9,6 @@ vertices (see ``duplicate_vertex``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .graph import Graph, duplicate_vertex
@@ -191,30 +190,18 @@ _PARAMETRIC: dict[str, Callable[[int], Graph]] = {
 FAMILY_NAMES = tuple(sorted(_FIXED) + sorted(_PARAMETRIC))
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family name plus its size parameter (parametric families only)."""
-
-    family: str
-    size: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.family in _FIXED:
-            if self.size is not None:
-                raise ValueError(f"{self.family} is a fixed graph, size not allowed")
-        elif self.family in _PARAMETRIC:
-            if self.size is None:
-                raise ValueError(f"{self.family} needs a size parameter")
-        else:
-            raise ValueError(f"unknown family {self.family!r}")
-
-
-def build(family: str | FamilySpec, size: int | None = None) -> Graph:
-    """Build a named graph; see FAMILY_NAMES for the accepted names."""
-    spec = family if isinstance(family, FamilySpec) else FamilySpec(family, size)
-    if spec.family in _FIXED:
-        return _FIXED[spec.family]()
-    return _PARAMETRIC[spec.family](spec.size)
+def build(family: str, size: int | None = None) -> Graph:
+    """Build a named graph; see FAMILY_NAMES for the accepted names. A fixed
+    graph takes no size and a parametric family needs one."""
+    if family in _FIXED:
+        if size is not None:
+            raise ValueError(f"{family} is a fixed graph, size not allowed")
+        return _FIXED[family]()
+    if family not in _PARAMETRIC:
+        raise ValueError(f"unknown family {family!r}")
+    if size is None:
+        raise ValueError(f"{family} needs a size parameter")
+    return _PARAMETRIC[family](size)
 
 
 def rank_formula_path(n: int) -> int:

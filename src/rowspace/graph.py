@@ -180,17 +180,6 @@ def diametral_geodesic(g: Graph) -> tuple[int, ...] | None:
     return tuple(path)
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex sets of the components, ordered by smallest member."""
-    components = []
-    remaining = (1 << g.n) - 1
-    while remaining:
-        seen = reachable(g.adj, remaining & -remaining)
-        components.append(list(iter_bits(seen)))
-        remaining &= ~seen
-    return components
-
-
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     """Subgraph induced on ``vertices``, relabelled 0..k-1 in the given order."""
     index = {v: i for i, v in enumerate(vertices)}

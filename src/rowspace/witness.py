@@ -20,13 +20,14 @@ Strategies:
   degrees equal to d: all-ones = (n-d)/(n-1) R_dom + 1/(n-1) sum(others).
 * catalog-rank5         -- four hard-coded singular rank-5 graphs with
   pinned half-integer row combinations.
-* lifted                -- blow-ups: a witness of the twin-contracted graph
-  block-repeats to a witness of the original, and the contracted graph's
-  answer is final.
+* lifted                -- graphs with twins: the strategies above, or the
+  oracle, on the twin contraction; the witness block-repeats to the input.
 * oracle                -- exhaustive scan fallback (see rowspace.oracle).
 
-``find_witness`` dispatches in the fixed order above (cheapest structural
-tests first) and verifies every witness before returning it.
+``find_witness`` descends once, from the first component with an edge to
+its twin contraction, tries the strategies in the fixed order above
+(cheapest structural tests first) on each, and verifies the witness it
+returns on the input graph.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from . import families
 from .graph import (
     Graph,
     _validated_multiplicities,
-    connected_components,
     diametral_geodesic,
     find_adjacent_disjoint_pair,
     induced_subgraph,
@@ -97,14 +97,12 @@ def check_oracle_limit(limit: int, source: str = "oracle limit") -> int:
 def oracle_declines(g: Graph, limit: int) -> str | None:
     """None if the oracle scans the graph ``find_witness`` ends its search
     on, else why it does not. That graph is the twin contraction of the
-    first component of g with an edge, so its order is the number of
-    distinct neighborhoods in that component. Only when the oracle scans is
-    a None from ``find_witness`` a proof that no witness exists.
+    first component of g with an edge; its order, the number of twin
+    classes of that component, comes from the helpers the search descends
+    through. Only when the oracle scans is a None from ``find_witness`` a
+    proof that no witness exists. ValueError if g has no edge.
     """
-    if g.size == 0:
-        raise ValueError("witness search requires a graph with at least one edge")
-    first = next(v for v in range(g.n) if g.adj[v])
-    n = len({g.adj[v] for v in iter_bits(reachable(g.adj, 1 << first))})
+    n = len(_twin_classes(g, _component(g)))
     if n > limit:
         return f"no constructive strategy applied and n={n} exceeds the oracle bound {limit}"
     return None
@@ -243,7 +241,7 @@ def _embed(w: Witness, classes, n: int, strategy: Strategy) -> Witness:
     of the class, and every other vertex gets 0."""
     vector = [0] * n
     coeffs = [_ZERO] * n
-    for x, c, members in zip(w.vector, w.certificate.coefficients, classes):
+    for x, c, members in zip(w.vector, w.certificate.coefficients, classes, strict=True):
         for v in members:
             vector[v] = x
         coeffs[members[0]] = c
@@ -269,17 +267,6 @@ def lift_witness(g: Graph, m, w: Witness) -> Witness:
     return _embed(w, blocks, ends[-1], Strategy.LIFTED)
 
 
-def _twin_classes(g: Graph) -> list[list[int]] | None:
-    """Twin classes (equal neighborhoods) sorted by smallest member, or None
-    if g is reduced. Twins are never adjacent, so classes are independent."""
-    classes: dict[int, list[int]] = {}
-    for v in range(g.n):
-        classes.setdefault(g.adj[v], []).append(v)
-    if len(classes) == g.n:
-        return None
-    return sorted(classes.values())
-
-
 _CONSTRUCTIVE = (
     witness_complete,
     witness_disjoint_nbhd,
@@ -289,49 +276,72 @@ _CONSTRUCTIVE = (
 )
 
 
-def _checked(g: Graph, w: Witness) -> Witness:
-    if not verify_witness(g, w):
-        raise RuntimeError(
-            f"internal error: strategy {w.strategy.value} produced an invalid witness"
-        )
-    return w
+def _constructive(g: Graph) -> Witness | None:
+    """The first constructive strategy's witness, or None if all decline."""
+    for strategy in _CONSTRUCTIVE:
+        w = strategy(g).witness
+        if w is not None:
+            return w
+    return None
+
+
+def _component(g: Graph) -> int:
+    """Bitset of the first component of g with an edge; ValueError if none."""
+    first = next((v for v, nb in enumerate(g.adj) if nb), None)
+    if first is None:
+        raise ValueError("witness search requires a graph with at least one edge")
+    return reachable(g.adj, 1 << first)
+
+
+def _twin_classes(g: Graph, component: int) -> list[list[int]]:
+    """Twin classes (equal neighborhoods) of a component, in g's labels and
+    in order of smallest member. Twins are never adjacent, so one vertex per
+    class induces the component's twin contraction, which is reduced."""
+    classes: dict[int, list[int]] = {}
+    for v in iter_bits(component):
+        classes.setdefault(g.adj[v], []).append(v)
+    return list(classes.values())
 
 
 def find_witness(g: Graph, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> Witness | None:
     """First verified witness under the fixed strategy order, else None.
 
-    Requires at least one edge. A disconnected graph is searched on its
-    smallest-index component with an edge, a connected graph with twins on
-    its twin contraction (after the constructive strategies), and the
-    witness found there is embedded back (see ``_embed``). Padding a
-    component's witness with zeros cannot hit a row: rows of the component
-    are excluded by the component-level check and every other row is zero
-    on its columns. A blow-up's witnesses are exactly the block repeats of
-    its contraction's, so the smaller graph's answer is final. The oracle
-    runs only on the reduced connected graph the search ends on, and a None
-    return is conclusive only when it ran (see ``oracle_declines``). Raises
-    ValueError for an oracle limit outside 0..MAX_ORACLE_LIMIT.
+    Requires at least one edge. One descent: the constructive strategies run
+    on the first component of g with an edge (g itself when connected), then,
+    if that component has twins, on its twin contraction, and the oracle
+    scans the last of these graphs if its order is within the limit. A
+    blow-up's witnesses are exactly the block repeats of its contraction's,
+    and zero padding never hits a row, so that graph's answer is final: None
+    is conclusive exactly when the oracle scanned (see ``oracle_declines``).
+    The witness is embedded into g in one step (``lifted`` when it came from
+    the contraction) and checked once, on g. ValueError for an oracle limit
+    outside 0..MAX_ORACLE_LIMIT.
     """
     check_oracle_limit(oracle_limit)
-    if g.size == 0:
-        raise ValueError("witness search requires a graph with at least one edge")
-    if g.is_connected():
-        for strategy in _CONSTRUCTIVE:
-            w = strategy(g).witness
-            if w is not None:
-                return _checked(g, w)
-        classes, embedded_as = _twin_classes(g), Strategy.LIFTED
-    else:
-        comp = next(c for c in connected_components(g) if len(c) > 1)
-        classes, embedded_as = [[v] for v in comp], None
-    if classes is not None:
-        inner = find_witness(induced_subgraph(g, [c[0] for c in classes]), oracle_limit)
-        if inner is None:
+    component = _component(g)
+    h = g if component == (1 << g.n) - 1 else induced_subgraph(g, list(iter_bits(component)))
+    classes = None
+    w = _constructive(h)
+    if w is None:
+        twins = _twin_classes(g, component)
+        if len(twins) < component.bit_count():
+            classes = twins
+            h = induced_subgraph(g, [c[0] for c in classes])
+            w = _constructive(h)
+    if w is None:
+        if h.n > oracle_limit:
             return None
-        return _checked(g, _embed(inner, classes, g.n, embedded_as or inner.strategy))
-    if oracle_declines(g, oracle_limit) is not None:
-        return None
-    from .oracle import brute_force_witness
+        from .oracle import brute_force_witness
 
-    w = brute_force_witness(g, limit=oracle_limit).witness
-    return None if w is None else _checked(g, w)
+        w = brute_force_witness(h, limit=oracle_limit).witness
+        if w is None:
+            return None
+    found = w
+    if h is not g:
+        strategy = Strategy.LIFTED if classes else w.strategy
+        w = _embed(w, classes or [[v] for v in iter_bits(component)], g.n, strategy)
+    if not verify_witness(g, w):
+        raise RuntimeError(
+            f"internal error: strategy {found.strategy.value} produced an invalid witness"
+        )
+    return w

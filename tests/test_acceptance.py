@@ -137,6 +137,16 @@ def test_criterion_6_exhaustive_desk_scale():
         report = exhaustive_verify(n, jobs=JOBS if n >= 6 else 1)
         assert report.failures == [], f"n={n}: {report.failures[:5]}"
         totals[n] = report.graphs_checked
+        if n == 6:
+            # the strategy that answers each graph, pinned
+            assert report.strategy_histogram == {
+                "disjoint-neighborhood": 21571,
+                "oracle": 3313,
+                "lifted": 1745,
+                "dominating-regular": 72,
+                "catalog-rank5": 2,
+                "complete-all-ones": 1,
+            }
     elapsed = time.perf_counter() - start
     # 1_866_256 labeled connected graphs on 7 vertices
     assert totals[7] == 1866256

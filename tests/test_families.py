@@ -4,7 +4,6 @@ import pytest
 
 from rowspace.families import (
     FAMILY_NAMES,
-    FamilySpec,
     build,
     h_family_generate,
     kotlov_lovasz_n,
@@ -29,12 +28,12 @@ class TestBuild:
             assert g.n >= 1
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            FamilySpec("petersen", 5)
-        with pytest.raises(ValueError):
-            FamilySpec("cycle")
-        with pytest.raises(ValueError):
-            FamilySpec("moebius")
+        with pytest.raises(ValueError, match="fixed graph, size not allowed"):
+            build("petersen", 5)
+        with pytest.raises(ValueError, match="needs a size parameter"):
+            build("cycle")
+        with pytest.raises(ValueError, match="unknown family 'moebius'"):
+            build("moebius")
         with pytest.raises(ValueError):
             build("cycle", 2)
 

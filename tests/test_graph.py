@@ -9,7 +9,6 @@ from conftest import diameter_oracle, graphs, connected_graphs, oracle_geodesic
 from rowspace.families import build, petersen
 from rowspace.graph import (
     Graph,
-    connected_components,
     diameter,
     diametral_geodesic,
     duplicate_vertex,
@@ -301,10 +300,6 @@ class TestPredicates:
 
 
 class TestComponents:
-    def test_components_ordered_by_smallest_member(self):
-        g = Graph.from_edges(5, [(1, 3), (2, 4)])
-        assert connected_components(g) == [[0], [1, 3], [2, 4]]
-
     def test_induced_subgraph(self):
         g = build("cycle", 5)
         sub = induced_subgraph(g, [1, 2, 3])

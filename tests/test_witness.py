@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,9 +26,11 @@ from rowspace.graph import (
     multiply_vertices,
 )
 from rowspace.linalg import MembershipCertificate, adjacency_matrix, solve_membership
+from rowspace.oracle import OracleResult
 from rowspace.witness import (
     MAX_ORACLE_LIMIT,
     Strategy,
+    StrategyOutcome,
     Witness,
     find_witness,
     lift_witness,
@@ -386,6 +389,78 @@ class TestSearchEnd:
                 assert len(recorder.scanned) <= 1
                 assert (oracle_declines(g, limit) is None) == bool(recorder.scanned)
         assert count == 1094
+
+
+def _row_instead(w: Witness, g: Graph) -> Witness:
+    """Row u of A(g), u the first vertex with an edge, with the certificate
+    e_u: exact, but a row."""
+    u = next(v for v in range(g.n) if g.adj[v])
+    vector = tuple((g.adj[u] >> v) & 1 for v in range(g.n))
+    coeffs = tuple(Fraction(int(v == u)) for v in range(g.n))
+    return Witness(vector, MembershipCertificate(coeffs, vector), w.strategy)
+
+
+def _off_by_one_over_d(w: Witness, g: Graph) -> Witness:
+    """w with 1/D added to the coefficient of the first vertex with an edge,
+    D the lcm of the denominators: A^t c misses the vector by row u / D."""
+    coeffs = list(w.certificate.coefficients)
+    u = next(v for v in range(g.n) if g.adj[v])
+    coeffs[u] += Fraction(1, lcm(*(c.denominator for c in coeffs)))
+    return Witness(w.vector, MembershipCertificate(tuple(coeffs), w.vector), w.strategy)
+
+
+class TestReverification:
+    """``find_witness`` checks the witness it returns on the input graph,
+    whichever path built it. A strategy or an oracle that hands back a bad
+    witness (on the component or the contraction alike) raises a
+    RuntimeError that names it; the bad witness is never returned."""
+
+    # path -> (graph, patched producer, the strategy the error names)
+    PATHS = {
+        "connected-reduced": (lambda: build("cycle", 5), "witness_disjoint_nbhd", "disjoint-neighborhood"),
+        "component": (
+            lambda: disjoint_union(Graph(1, (0,)), build("cycle", 5)),
+            "witness_disjoint_nbhd",
+            "disjoint-neighborhood",
+        ),
+        # the octahedron: only K3, its contraction, has a strategy that fires
+        "contraction": (
+            lambda: multiply_vertices(build("complete", 3), (2, 2, 2)),
+            "witness_complete",
+            "complete-all-ones",
+        ),
+        "oracle": (co_c7, "brute_force_witness", "oracle"),
+        "oracle-on-contraction": (
+            lambda: multiply_vertices(co_c7(), (2, 1, 3, 1, 1, 1, 1)),
+            "brute_force_witness",
+            "oracle",
+        ),
+    }
+
+    @pytest.mark.parametrize("corrupt", [_row_instead, _off_by_one_over_d])
+    @pytest.mark.parametrize("path", PATHS)
+    def test_invalid_witness_raises(self, monkeypatch, path, corrupt):
+        make, producer, name = self.PATHS[path]
+        if producer == "brute_force_witness":
+            real_scan = rowspace.oracle.brute_force_witness
+
+            def bad_scan(g, limit):
+                result = real_scan(g, limit=limit)
+                return OracleResult(corrupt(result.witness, g), result.candidates_checked)
+
+            monkeypatch.setattr(rowspace.oracle, "brute_force_witness", bad_scan)
+        else:
+            real = getattr(rowspace.witness, producer)
+
+            def bad(g):
+                w = real(g).witness
+                return StrategyOutcome(None if w is None else corrupt(w, g), "declined")
+
+            constructive = tuple(bad if s is real else s for s in rowspace.witness._CONSTRUCTIVE)
+            assert bad in constructive
+            monkeypatch.setattr(rowspace.witness, "_CONSTRUCTIVE", constructive)
+        with pytest.raises(RuntimeError, match=f"strategy {name} produced an invalid witness"):
+            find_witness(make())
 
 
 class TestVerifyWitness:
