@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -53,6 +54,16 @@ def _open_output(stack: ExitStack, path: str) -> IO[str]:
     return stack.enter_context(open(path, "w", encoding="ascii"))
 
 
+def _open_streams(stack: ExitStack, args: argparse.Namespace) -> tuple[IO[str], IO[str]]:
+    """``--input`` and ``--out`` of a streaming command. An output naming
+    the input file is refused: opening it would truncate the input before
+    its first line is read."""
+    paths = (args.input, args.out)
+    if "-" not in paths and os.path.exists(args.out) and os.path.samefile(*paths):
+        raise ValueError(f"--out {args.out} is the --input file")
+    return _open_input(stack, args.input), _open_output(stack, args.out)
+
+
 #: verify's exit code per record status, highest rank first.
 _VERIFY_EXITS = (("no-witness-found", 3), ("internal-error", 4), ("error", 1))
 
@@ -63,8 +74,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     limit = resolve_oracle_limit(args.oracle_limit)
     statuses = set()
     with ExitStack() as stack:
-        source = _open_input(stack, args.input)
-        sink = _open_output(stack, args.out)
+        source, sink = _open_streams(stack, args)
         for record in run_verification(source, oracle_limit=limit, jobs=args.jobs):
             statuses.add(record.status)
             sink.write(json.dumps(record.to_json()) + "\n")
@@ -72,17 +82,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_exhaustive(args: argparse.Namespace) -> int:
-    limit = resolve_oracle_limit(args.oracle_limit)
-    report = exhaustive_verify(args.n, oracle_limit=limit, jobs=args.jobs)
-    payload = {
-        "n": report.n,
-        "graphs_checked": report.graphs_checked,
-        "failures": report.failures,
-        "strategy_histogram": report.strategy_histogram,
-    }
+    report = exhaustive_verify(args.n, jobs=args.jobs)
     with ExitStack() as stack:
         sink = _open_output(stack, args.out)
-        sink.write(json.dumps(payload) + "\n")
+        sink.write(json.dumps(dataclasses.asdict(report)) + "\n")
     return 1 if report.failures else 0
 
 
@@ -105,8 +108,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
 def _cmd_size_bound(args: argparse.Namespace) -> int:
     bad = 0
     with ExitStack() as stack:
-        source = _open_input(stack, args.input)
-        sink = _open_output(stack, args.out)
+        source, sink = _open_streams(stack, args)
         for record in check_size_bound(source):
             if record.error is not None or record.is_violation():
                 bad += 1
@@ -137,9 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exhaustive", help="scan every labeled connected graph on n vertices")
     p.add_argument("--n", type=int, required=True, help="vertex count (n <= 7)")
     p.add_argument("--out", default="-", help="JSON report file ('-' = stdout)")
-    p.add_argument("--oracle-limit", type=int, default=None,
-                   help=f"largest n for the exhaustive fallback, n..{MAX_ORACLE_LIMIT} "
-                        "(default: $ROWSPACE_ORACLE_LIMIT or 16)")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.set_defaults(handler=_cmd_exhaustive)
 
@@ -158,12 +157,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Exit 2 on a bad argument or an unreadable or unwritable file, 4 on
+    any other exception (an internal error), else the command's code."""
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"rowspace: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"rowspace: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -187,6 +187,8 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
         raise ValueError("duplicate vertex in induced subgraph")
     adj = [0] * len(vertices)
     for i, v in enumerate(vertices):
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
         for w in iter_bits(g.adj[v]):
             j = index.get(w)
             if j is not None:

@@ -23,12 +23,29 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .graph import diameter
 from .graph6 import OPTIONAL_HEADER, Graph6ParseError, parse_graph6
 from .linalg import adjacency_matrix, rank
 from .witness import DEFAULT_ORACLE_LIMIT, check_oracle_limit, find_witness, oracle_declines
+
+
+def worker_count(jobs: int) -> int:
+    """The worker processes ``jobs`` asks for, at most ``os.cpu_count()``."""
+    return min(jobs, os.cpu_count() or 1)
+
+
+def parallel_map(fn: Callable, items: Iterable, jobs: int, chunksize: int = 1) -> Iterator:
+    """``fn`` over ``items``, results in input order, on
+    ``worker_count(jobs)`` worker processes; in this process when that
+    leaves one. ``fn`` must be a module-level function."""
+    jobs = worker_count(jobs)
+    if jobs <= 1:
+        yield from map(fn, items)
+        return
+    with Pool(processes=jobs) as pool:
+        yield from pool.imap(fn, items, chunksize)
 
 
 def _fraction_str(value: Fraction) -> str:
@@ -173,22 +190,13 @@ def run_verification(
     oracle_limit: int = DEFAULT_ORACLE_LIMIT,
     jobs: int = 1,
 ) -> Iterator[VerificationRecord]:
-    """One record per effective input line, in input order. At most
-    ``os.cpu_count()`` worker processes run, however large ``jobs`` is.
-    An oracle limit outside 0..MAX_ORACLE_LIMIT raises ValueError here,
-    before any line is read; ``oracle_limit=0`` runs the constructive
-    strategies only."""
+    """One record per effective input line, in input order, computed by
+    ``parallel_map`` on up to ``jobs`` worker processes. An oracle limit
+    outside 0..MAX_ORACLE_LIMIT raises ValueError here, before any line is
+    read; ``oracle_limit=0`` runs the constructive strategies only."""
     check_oracle_limit(oracle_limit)
     work = ((line, oracle_limit) for line in effective_lines(lines))
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1:
-        return map(_verify_line, work)
-    return _pooled(work, jobs)
-
-
-def _pooled(work: Iterator[tuple], jobs: int) -> Iterator[VerificationRecord]:
-    with Pool(processes=jobs) as pool:
-        yield from pool.imap(_verify_line, work, chunksize=64)
+    return parallel_map(_verify_line, work, jobs, chunksize=64)
 
 
 def check_size_bound(lines: Iterable[str]) -> Iterator[SizeBoundRecord]:

@@ -8,21 +8,20 @@ the definitional search: whatever the constructive strategies claim must
 agree with it.
 
 ``exhaustive_verify`` runs the full engine (constructive strategies with
-oracle fallback) over every labeled connected graph with at least one edge
-on n vertices, recording any graph for which no witness exists. The labeled
-generator does not deduplicate isomorphs; redundancy only costs time at the
-supported sizes (n <= 7).
+oracle fallback at the default bound) over every labeled connected graph
+with at least one edge on n vertices, recording any graph for which no
+witness exists. The labeled generator does not deduplicate isomorphs;
+redundancy only costs time at the supported sizes (n <= 7).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 from typing import Iterator
 
 from .graph import Graph, reachable
 from .graph6 import write_graph6
+from .harness import parallel_map, worker_count
 from .linalg import adjacency_matrix, integer_row_echelon, solve_membership
 from .witness import DEFAULT_ORACLE_LIMIT, Strategy, Witness, check_oracle_limit, find_witness
 
@@ -139,14 +138,14 @@ def iter_connected_graphs(n: int) -> Iterator[Graph]:
     return _connected_graphs(n, 1, 1 << len(_edge_pairs(n)))
 
 
-def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[int, list[str], dict[str, int]]:
-    n, start, stop, oracle_limit = args
+def _scan_chunk(args: tuple[int, int, int]) -> tuple[int, list[str], dict[str, int]]:
+    n, start, stop = args
     checked = 0
     failures: list[str] = []
     histogram: dict[str, int] = {}
     for g in _connected_graphs(n, start, stop):
         checked += 1
-        w = find_witness(g, oracle_limit)
+        w = find_witness(g)
         if w is None:
             failures.append(write_graph6(g))
         else:
@@ -155,40 +154,26 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[int, list[str], dict[s
     return checked, failures, histogram
 
 
-def exhaustive_verify(
-    n: int,
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
-    jobs: int = 1,
-) -> ExhaustiveReport:
+def exhaustive_verify(n: int, jobs: int = 1) -> ExhaustiveReport:
     """Check the witness engine on every labeled connected n-vertex graph.
 
     ``failures`` lists (as graph6) every graph for which no witness exists;
-    an empty list means the searched property held throughout. With
-    ``jobs`` > 1 the edge-mask index range is partitioned across worker
-    processes, at most ``os.cpu_count()`` of them, and the partial reports
-    are merged. Raises ValueError for an oracle limit outside
-    0..MAX_ORACLE_LIMIT or below n: the oracle would never run on the
-    n-vertex graphs, so a graph no strategy covers would be undecided.
+    an empty list means the searched property held throughout. The oracle
+    runs at its default bound, which covers every n the generator accepts,
+    so every graph is decided. The edge-mask index range is one chunk when
+    one worker is left, and otherwise 16 chunks per worker, which
+    ``parallel_map`` runs on up to ``jobs`` processes; the partial reports
+    are merged in chunk order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     total = 1 << len(_edge_pairs(n))
-    check_oracle_limit(oracle_limit)
-    if oracle_limit < n:
-        raise ValueError(
-            f"oracle limit {oracle_limit} < n={n}: the sweep could not decide every graph"
-        )
-    jobs = min(jobs, os.cpu_count() or 1)
+    jobs = worker_count(jobs)
+    nchunks = 1 if jobs <= 1 else min(total, jobs * 16)
+    bounds = [total * k // nchunks for k in range(nchunks + 1)]
+    chunks = [(n, bounds[k], bounds[k + 1]) for k in range(nchunks)]
     report = ExhaustiveReport(n=n, graphs_checked=0)
-    if jobs <= 1:
-        parts = [_scan_chunk((n, 0, total, oracle_limit))]
-    else:
-        nchunks = min(total, jobs * 16)
-        bounds = [total * k // nchunks for k in range(nchunks + 1)]
-        chunks = [(n, bounds[k], bounds[k + 1], oracle_limit) for k in range(nchunks)]
-        with Pool(processes=jobs) as pool:
-            parts = pool.map(_scan_chunk, chunks)
-    for checked, failures, histogram in parts:
+    for checked, failures, histogram in parallel_map(_scan_chunk, chunks, jobs):
         report.graphs_checked += checked
         report.failures.extend(failures)
         for key, count in histogram.items():

@@ -2,6 +2,8 @@ import io
 import json
 import sys
 
+import pytest
+
 import rowspace.harness
 import rowspace.oracle
 from conftest import ScanRecorder, co_c7, disjoint_union
@@ -69,8 +71,9 @@ class TestVerify:
         assert main(args + ["--oracle-limit", "21"]) == 2
         monkeypatch.setenv("ROWSPACE_ORACLE_LIMIT", "40")
         assert main(args) == 2
-        assert main(["exhaustive", "--n", "3"]) == 2
         assert "ROWSPACE_ORACLE_LIMIT" in capsys.readouterr().err
+        # the sweep runs the oracle at its default bound and ignores the variable
+        assert main(["exhaustive", "--n", "3"]) == 0
         assert main(args + ["--oracle-limit", "20"]) == 0
 
     def test_error_exit_code(self, tmp_path):
@@ -167,14 +170,28 @@ class TestExhaustive:
         assert report["failures"] == []
 
     def test_oracle_limit_below_n(self, tmp_path, capsys, monkeypatch):
-        # the oracle never runs on the 5-vertex graphs, so the sweep used to
-        # report the 90 graphs only the oracle decides as failures
+        # the sweep takes no oracle limit: the default bound covers every n
+        # the generator accepts, so no limit can leave a graph undecided
         out = tmp_path / "report.json"
-        assert main(["exhaustive", "--n", "5", "--oracle-limit", "3", "--out", str(out)]) == 2
-        assert "oracle limit 3 < n=5" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["exhaustive", "--n", "5", "--oracle-limit", "3", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --oracle-limit 3" in capsys.readouterr().err
         assert not out.exists()
-        monkeypatch.setenv("ROWSPACE_ORACLE_LIMIT", "3")
-        assert main(["exhaustive", "--n", "5", "--out", str(out)]) == 2
+        for value in ("3", "many"):
+            monkeypatch.setenv("ROWSPACE_ORACLE_LIMIT", value)
+            assert main(["exhaustive", "--n", "5", "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert (report["graphs_checked"], report["failures"]) == (728, [])
+
+    def test_internal_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        def fails(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(rowspace.oracle, "find_witness", fails)
+        out = tmp_path / "report.json"
+        assert main(["exhaustive", "--n", "3", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == "rowspace: internal error: RuntimeError: boom\n"
         assert not out.exists()
 
     def test_bound_error(self, capsys):
@@ -216,3 +233,25 @@ class TestSizeBound:
                 "error": "byte '\xc3' outside graph6 range (byte offset 0)",
             }
         assert runs[0] == runs[1]
+
+    def test_internal_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        def fails(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(rowspace.harness, "diameter", fails)
+        source = tmp_path / "graphs.g6"
+        source.write_text("C~\n")
+        assert main(["size-bound", "--input", str(source), "--out", "-"]) == 4
+        assert capsys.readouterr().err == "rowspace: internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "size-bound"])
+def test_out_naming_the_input_is_refused(tmp_path, capsys, command):
+    source = tmp_path / "graphs.g6"
+    data = b"Dhc\nC~\n"
+    source.write_bytes(data)
+    # the same file reached by two spellings of its path
+    same = f"{tmp_path}/./graphs.g6"
+    assert main([command, "--input", str(source), "--out", same]) == 2
+    assert "is the --input file" in capsys.readouterr().err
+    assert source.read_bytes() == data

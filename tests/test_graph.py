@@ -304,3 +304,11 @@ class TestComponents:
         g = build("cycle", 5)
         sub = induced_subgraph(g, [1, 2, 3])
         assert sub == build("path", 3)
+
+    @pytest.mark.parametrize("vertices", [[-1, 3], [-1, 2], [0, 7]], ids=str)
+    def test_induced_subgraph_rejects_out_of_range(self, vertices):
+        # [-1, 3] named vertex 3 twice past the duplicate check, [-1, 2]
+        # failed as an asymmetric edge and [0, 7] as an IndexError
+        bad = next(v for v in vertices if not 0 <= v < 4)
+        with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
+            induced_subgraph(build("path", 4), vertices)

@@ -3,18 +3,26 @@ import os
 import pytest
 from hypothesis import given, settings
 
+import rowspace.harness
 import rowspace.oracle
 from conftest import RecordingPool, graphs
 from rowspace.families import build
 from rowspace.graph import Graph
 from rowspace.oracle import (
+    GENERATOR_LIMIT,
     CapacityError,
     brute_force_witness,
     enumerate_all_witnesses,
     exhaustive_verify,
     iter_connected_graphs,
 )
-from rowspace.witness import MAX_ORACLE_LIMIT, Strategy, find_witness, verify_witness
+from rowspace.witness import (
+    DEFAULT_ORACLE_LIMIT,
+    MAX_ORACLE_LIMIT,
+    Strategy,
+    find_witness,
+    verify_witness,
+)
 
 
 class TestBruteForce:
@@ -113,7 +121,27 @@ class TestExhaustive:
         parallel = exhaustive_verify(4, jobs=2)
         assert serial.graphs_checked == parallel.graphs_checked
         assert serial.failures == parallel.failures
-        assert serial.strategy_histogram == parallel.strategy_histogram
+        # the key order the JSON report prints survives the chunk merge
+        assert list(serial.strategy_histogram.items()) == list(parallel.strategy_histogram.items())
+
+    def test_default_oracle_bound_covers_the_generator(self):
+        # the sweep runs the oracle at its default bound, so every graph
+        # the generator yields is decided
+        assert GENERATOR_LIMIT <= DEFAULT_ORACLE_LIMIT
+
+    def test_one_worker_scans_one_chunk_in_process(self, monkeypatch):
+        pool = RecordingPool()
+        monkeypatch.setattr(rowspace.harness, "Pool", pool)
+        chunks = []
+        real = rowspace.oracle._scan_chunk
+
+        def recording(args):
+            chunks.append(args)
+            return real(args)
+
+        monkeypatch.setattr(rowspace.oracle, "_scan_chunk", recording)
+        assert exhaustive_verify(4, jobs=1).graphs_checked == 38
+        assert (chunks, pool.requested) == ([(4, 0, 64)], [])
 
     def test_generator_bound(self):
         with pytest.raises(CapacityError):
@@ -125,7 +153,7 @@ class TestExhaustive:
 
     def test_worker_count_capped_at_cpu_count(self, monkeypatch):
         pool = RecordingPool()
-        monkeypatch.setattr(rowspace.oracle, "Pool", pool)
+        monkeypatch.setattr(rowspace.harness, "Pool", pool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         report = exhaustive_verify(4, jobs=10_000)
         assert pool.requested == [2]
@@ -156,20 +184,6 @@ class TestOracleLimitRange:
     def test_brute_force_rejects_before_scanning(self, no_scan, limit):
         with pytest.raises(ValueError, match=f"outside 0..{MAX_ORACLE_LIMIT}"):
             brute_force_witness(build("cycle", 5), limit=limit)
-
-    def test_exhaustive_rejects_out_of_range(self, no_scan):
-        with pytest.raises(ValueError, match=f"outside 0..{MAX_ORACLE_LIMIT}"):
-            exhaustive_verify(3, oracle_limit=MAX_ORACLE_LIMIT + 1)
-
-    def test_exhaustive_refuses_limit_below_n(self, no_scan):
-        # the oracle would never run on a 5-vertex graph, so the 90 graphs
-        # only the oracle decides used to be reported as failures
-        with pytest.raises(ValueError, match="oracle limit 3 < n=5"):
-            exhaustive_verify(5, oracle_limit=3)
-
-    def test_exhaustive_accepts_limit_equal_to_n(self):
-        report = exhaustive_verify(4, oracle_limit=4)
-        assert (report.graphs_checked, report.failures) == (38, [])
 
 
 class TestConsistency:
