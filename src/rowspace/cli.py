@@ -8,34 +8,16 @@ import json
 import os
 import sys
 from contextlib import ExitStack
-from typing import IO
+from functools import partial
+from typing import IO, Callable
 
 from .families import FAMILY_NAMES, build
 from .graph import diameter
 from .graph6 import write_graph6
-from .harness import check_size_bound, run_verification
+from .harness import check_size_bound, run_verification, worker_count
 from .linalg import adjacency_matrix, rank
 from .oracle import exhaustive_verify
 from .witness import DEFAULT_ORACLE_LIMIT, MAX_ORACLE_LIMIT, check_oracle_limit
-
-ORACLE_LIMIT_ENV = "ROWSPACE_ORACLE_LIMIT"
-
-
-def resolve_oracle_limit(explicit: int | None = None) -> int:
-    """Explicit value, else the ROWSPACE_ORACLE_LIMIT env var, else 16.
-
-    Raises ValueError for a value outside 0..MAX_ORACLE_LIMIT.
-    """
-    if explicit is not None:
-        return check_oracle_limit(explicit)
-    env = os.environ.get(ORACLE_LIMIT_ENV)
-    if env is None:
-        return DEFAULT_ORACLE_LIMIT
-    try:
-        limit = int(env)
-    except ValueError:
-        raise ValueError(f"{ORACLE_LIMIT_ENV}={env!r} is not an integer")
-    return check_oracle_limit(limit, ORACLE_LIMIT_ENV)
 
 
 def _open_input(stack: ExitStack, path: str) -> IO[str]:
@@ -43,6 +25,8 @@ def _open_input(stack: ExitStack, path: str) -> IO[str]:
     is one character, so a non-ASCII byte reaches the parser, which reports
     it with its byte offset, and the stream goes on."""
     if path == "-":
+        if sys.stdin is None:
+            raise OSError("stdin is closed")
         sys.stdin.reconfigure(encoding="latin-1")
         return sys.stdin
     return stack.enter_context(open(path, "r", encoding="latin-1"))
@@ -50,6 +34,8 @@ def _open_input(stack: ExitStack, path: str) -> IO[str]:
 
 def _open_output(stack: ExitStack, path: str) -> IO[str]:
     if path == "-":
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
         return sys.stdout
     return stack.enter_context(open(path, "w", encoding="ascii"))
 
@@ -64,21 +50,30 @@ def _open_streams(stack: ExitStack, args: argparse.Namespace) -> tuple[IO[str], 
     return _open_input(stack, args.input), _open_output(stack, args.out)
 
 
-#: verify's exit code per record status, highest rank first.
-_VERIFY_EXITS = (("no-witness-found", 3), ("internal-error", 4), ("error", 1))
+def _stream(args: argparse.Namespace, records: Callable, exit_of: Callable) -> int:
+    """``records`` of the ``--input`` stream, one JSON line each on ``--out``;
+    exit with the first of 3, 4, 1 that ``exit_of`` gives a record, else 0."""
+    codes = set()
+    with ExitStack() as stack:
+        source, sink = _open_streams(stack, args)
+        for record in records(source):
+            codes.add(exit_of(record))
+            sink.write(json.dumps(record.to_json()) + "\n")
+    return next((code for code in (3, 4, 1) if code in codes), 0)
+
+
+#: verify's exit code per record status; 0 for any other.
+_VERIFY_EXITS = {"no-witness-found": 3, "internal-error": 4, "error": 1}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Exit 3 if any record is a counterexample, else 4 if any record hit an
-    internal error, else 1 if any line failed to parse, else 0."""
-    limit = resolve_oracle_limit(args.oracle_limit)
-    statuses = set()
-    with ExitStack() as stack:
-        source, sink = _open_streams(stack, args)
-        for record in run_verification(source, oracle_limit=limit, jobs=args.jobs):
-            statuses.add(record.status)
-            sink.write(json.dumps(record.to_json()) + "\n")
-    return next((code for status, code in _VERIFY_EXITS if status in statuses), 0)
+    internal error, else 1 if any line failed to parse, else 0. A bad
+    ``--oracle-limit`` or ``--jobs`` is refused before a stream is opened."""
+    check_oracle_limit(args.oracle_limit)
+    worker_count(args.jobs)
+    verify = partial(run_verification, oracle_limit=args.oracle_limit, jobs=args.jobs)
+    return _stream(args, verify, lambda record: _VERIFY_EXITS.get(record.status, 0))
 
 
 def _cmd_exhaustive(args: argparse.Namespace) -> int:
@@ -106,14 +101,8 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_size_bound(args: argparse.Namespace) -> int:
-    bad = 0
-    with ExitStack() as stack:
-        source, sink = _open_streams(stack, args)
-        for record in check_size_bound(source):
-            if record.error is not None or record.is_violation():
-                bad += 1
-            sink.write(json.dumps(record.to_json()) + "\n")
-    return 1 if bad else 0
+    """Exit 1 if any line failed to parse or breaks the bound, else 0."""
+    return _stream(args, check_size_bound, lambda r: int(r.error is not None or r.is_violation()))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -129,17 +118,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="batch-verify a graph6 stream, one JSONL record per line")
     p.add_argument("--input", default="-", help="graph6 file, one graph per line ('-' = stdin)")
     p.add_argument("--out", default="-", help="JSONL output file ('-' = stdout)")
-    p.add_argument("--oracle-limit", type=int, default=None,
+    p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT,
                    help=f"largest n for the exhaustive fallback, 0..{MAX_ORACLE_LIMIT}; "
-                        "0 runs the constructive strategies only "
-                        "(default: $ROWSPACE_ORACLE_LIMIT or 16)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+                        "0 runs the constructive strategies only (default: %(default)s)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes, at least 1")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("exhaustive", help="scan every labeled connected graph on n vertices")
     p.add_argument("--n", type=int, required=True, help="vertex count (n <= 7)")
     p.add_argument("--out", default="-", help="JSON report file ('-' = stdout)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes, at least 1")
     p.set_defaults(handler=_cmd_exhaustive)
 
     p = sub.add_parser("family", help="build a named graph")

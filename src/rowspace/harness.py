@@ -32,7 +32,10 @@ from .witness import DEFAULT_ORACLE_LIMIT, check_oracle_limit, find_witness, ora
 
 
 def worker_count(jobs: int) -> int:
-    """The worker processes ``jobs`` asks for, at most ``os.cpu_count()``."""
+    """The worker processes ``jobs`` asks for, at most ``os.cpu_count()``;
+    ValueError when ``jobs`` is below 1."""
+    if jobs < 1:
+        raise ValueError(f"--jobs {jobs} is below 1")
     return min(jobs, os.cpu_count() or 1)
 
 
@@ -52,12 +55,21 @@ def _fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _json(record, has_graph: bool) -> dict:
+    """A record's fields that are set, in declaration order; ``diameter``
+    also when None once the graph parsed, since null there means
+    disconnected."""
+    return {
+        key: value
+        for key, value in vars(record).items()
+        if value is not None or (has_graph and key == "diameter")
+    }
+
+
 @dataclass
 class VerificationRecord:
     graph6: str
     status: str
-    elapsed_ms: int
-    elapsed_us: int = 0
     n: int | None = None
     edges: int | None = None
     diameter: int | None = None  # None means disconnected once n is set
@@ -66,23 +78,10 @@ class VerificationRecord:
     witness: str | None = None
     certificate: list[str] | None = None
     reason: str | None = None
+    elapsed_us: int = 0
 
     def to_json(self) -> dict:
-        out: dict = {"graph6": self.graph6, "status": self.status}
-        if self.n is not None:
-            out["n"] = self.n
-            out["edges"] = self.edges
-            out["diameter"] = self.diameter
-            out["rank"] = self.rank
-        if self.strategy is not None:
-            out["strategy"] = self.strategy
-            out["witness"] = self.witness
-            out["certificate"] = self.certificate
-        if self.reason is not None:
-            out["reason"] = self.reason
-        out["elapsed_ms"] = self.elapsed_ms
-        out["elapsed_us"] = self.elapsed_us
-        return out
+        return _json(self, self.n is not None)
 
 
 @dataclass
@@ -108,18 +107,7 @@ class SizeBoundRecord:
         )
 
     def to_json(self) -> dict:
-        if self.error is not None:
-            return {"graph6": self.graph6, "error": self.error}
-        return {
-            "graph6": self.graph6,
-            "order": self.order,
-            "size": self.size,
-            "has_dominating": self.has_dominating,
-            "diameter": self.diameter,
-            "bound_2n_minus_5": self.bound_2n_minus_5,
-            "meets_bound": self.meets_bound,
-            "equality": self.equality,
-        }
+        return _json(self, self.error is None)
 
 
 def effective_lines(lines: Iterable[str]) -> Iterator[str]:
@@ -134,24 +122,18 @@ def effective_lines(lines: Iterable[str]) -> Iterator[str]:
             yield line
 
 
-def _stamped(record: VerificationRecord, start: float) -> VerificationRecord:
-    us = round((time.perf_counter() - start) * 1_000_000)
-    record.elapsed_us = us
-    record.elapsed_ms = round(us / 1000)
-    return record
-
-
 def _verify_line(args: tuple[str, int]) -> VerificationRecord:
     line, oracle_limit = args
     start = time.perf_counter()
     try:
         record = _verify_graph(line, oracle_limit)
     except Graph6ParseError as exc:
-        record = VerificationRecord(line, "error", 0, reason=str(exc))
+        record = VerificationRecord(line, "error", reason=str(exc))
     except Exception as exc:
         reason = f"{type(exc).__name__}: {exc}"
-        record = VerificationRecord(line, "internal-error", 0, reason=reason)
-    return _stamped(record, start)
+        record = VerificationRecord(line, "internal-error", reason=reason)
+    record.elapsed_us = round((time.perf_counter() - start) * 1_000_000)
+    return record
 
 
 def _verify_graph(line: str, oracle_limit: int) -> VerificationRecord:
@@ -159,7 +141,6 @@ def _verify_graph(line: str, oracle_limit: int) -> VerificationRecord:
     record = VerificationRecord(
         graph6=line,
         status="ok",
-        elapsed_ms=0,
         n=g.n,
         edges=g.size,
         diameter=diameter(g),
@@ -193,8 +174,10 @@ def run_verification(
     """One record per effective input line, in input order, computed by
     ``parallel_map`` on up to ``jobs`` worker processes. An oracle limit
     outside 0..MAX_ORACLE_LIMIT raises ValueError here, before any line is
-    read; ``oracle_limit=0`` runs the constructive strategies only."""
+    read, as does a ``jobs`` below 1; ``oracle_limit=0`` runs the
+    constructive strategies only."""
     check_oracle_limit(oracle_limit)
+    worker_count(jobs)
     work = ((line, oracle_limit) for line in effective_lines(lines))
     return parallel_map(_verify_line, work, jobs, chunksize=64)
 

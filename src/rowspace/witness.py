@@ -86,12 +86,10 @@ class StrategyOutcome:
     reason: str | None = None
 
 
-def check_oracle_limit(limit: int, source: str = "oracle limit") -> int:
-    """``limit`` itself; ValueError naming ``source`` unless it lies in
-    0..MAX_ORACLE_LIMIT."""
+def check_oracle_limit(limit: int) -> None:
+    """ValueError unless ``limit`` lies in 0..MAX_ORACLE_LIMIT."""
     if not 0 <= limit <= MAX_ORACLE_LIMIT:
-        raise ValueError(f"{source} {limit} is outside 0..{MAX_ORACLE_LIMIT}")
-    return limit
+        raise ValueError(f"oracle limit {limit} is outside 0..{MAX_ORACLE_LIMIT}")
 
 
 def oracle_declines(g: Graph, limit: int) -> str | None:

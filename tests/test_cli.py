@@ -1,9 +1,12 @@
 import io
 import json
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
+import rowspace
 import rowspace.harness
 import rowspace.oracle
 from conftest import ScanRecorder, co_c7, disjoint_union
@@ -15,6 +18,62 @@ from rowspace.graph6 import parse_graph6, write_graph6
 #: A line of one non-ASCII character (UTF-8 e-acute) and one ending in a
 #: latin-1 no-break space, between two valid lines.
 NON_ASCII_LINES = b"Dhc\n\xc3\xa9\nDhc\xa0\nDhc\n"
+
+
+def _no_witness(g, limit):
+    return None
+
+
+def _fails(g, limit):
+    raise RuntimeError("boom")
+
+
+#: One ``verify`` record per status: (input line, options, stand-in for
+#: ``find_witness``, the record as written with its timing key dropped).
+VERIFY_RECORDS = [
+    pytest.param(
+        "Bw", [], None,
+        '{"graph6": "Bw", "status": "ok", "n": 3, "edges": 3, "diameter": 1, "rank": 3, '
+        '"strategy": "complete-all-ones", "witness": "111", "certificate": ["1/2", "1/2", "1/2"]}',
+        id="ok",
+    ),
+    pytest.param(
+        "C`", [], None,
+        '{"graph6": "C`", "status": "ok", "n": 4, "edges": 2, "diameter": null, "rank": 4, '
+        '"strategy": "complete-all-ones", "witness": "1100", '
+        '"certificate": ["1/1", "1/1", "0/1", "0/1"]}',
+        id="ok-disconnected",
+    ),
+    pytest.param(
+        "A?", [], None,
+        '{"graph6": "A?", "status": "skipped", "n": 2, "edges": 0, "diameter": null, "rank": 0, '
+        '"reason": "graph has no edge; the searched property assumes one"}',
+        id="skipped",
+    ),
+    pytest.param(
+        "FUzro", ["--oracle-limit", "3"], None,
+        '{"graph6": "FUzro", "status": "skipped-too-large", "n": 7, "edges": 14, "diameter": 2, '
+        '"rank": 7, "reason": "no constructive strategy applied and n=7 exceeds the oracle bound 3"}',
+        id="skipped-too-large",
+    ),
+    pytest.param(
+        "!!!", [], None,
+        '{"graph6": "!!!", "status": "error", '
+        '"reason": "byte \'!\' outside graph6 range (byte offset 0)"}',
+        id="error",
+    ),
+    pytest.param(
+        "Bw", [], _fails,
+        '{"graph6": "Bw", "status": "internal-error", "reason": "RuntimeError: boom"}',
+        id="internal-error",
+    ),
+    pytest.param(
+        "Bw", [], _no_witness,
+        '{"graph6": "Bw", "status": "no-witness-found", "n": 3, "edges": 3, "diameter": 1, '
+        '"rank": 3, "reason": "exhaustive candidate scan found no witness"}',
+        id="no-witness-found",
+    ),
+]
 
 
 def _from_file_and_stdin(tmp_path, monkeypatch, command: str, data: bytes):
@@ -69,12 +128,44 @@ class TestVerify:
         assert main(args + ["--oracle-limit", "-1"]) == 2
         assert "outside 0..20" in capsys.readouterr().err
         assert main(args + ["--oracle-limit", "21"]) == 2
-        monkeypatch.setenv("ROWSPACE_ORACLE_LIMIT", "40")
-        assert main(args) == 2
-        assert "ROWSPACE_ORACLE_LIMIT" in capsys.readouterr().err
-        # the sweep runs the oracle at its default bound and ignores the variable
-        assert main(["exhaustive", "--n", "3"]) == 0
+        assert "outside 0..20" in capsys.readouterr().err
         assert main(args + ["--oracle-limit", "20"]) == 0
+
+    def test_bad_oracle_limit_leaves_out_unchanged(self, tmp_path, capsys):
+        # the limit is refused before either stream is opened
+        source = tmp_path / "graphs.g6"
+        source.write_text("C~\n")
+        out = tmp_path / "report.jsonl"
+        out.write_bytes(b"earlier report\n")
+        assert main(["verify", "--input", str(source), "--out", str(out), "--oracle-limit", "21"]) == 2
+        assert out.read_bytes() == b"earlier report\n"
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_refused(self, tmp_path, capsys, jobs):
+        source = tmp_path / "graphs.g6"
+        source.write_text("C~\n")
+        out = tmp_path / "report.jsonl"
+        out.write_bytes(b"earlier report\n")
+        for argv in (
+            ["verify", "--input", str(source), "--out", str(out), "--jobs", jobs],
+            ["exhaustive", "--n", "3", "--out", str(out), "--jobs", jobs],
+        ):
+            assert main(argv) == 2
+            assert f"--jobs {jobs} is below 1" in capsys.readouterr().err
+            assert out.read_bytes() == b"earlier report\n"
+
+    @pytest.mark.parametrize("line, options, find, expected", VERIFY_RECORDS)
+    def test_record_line_is_pinned(self, tmp_path, monkeypatch, line, options, find, expected):
+        # whole strings, so the key order counts
+        if find is not None:
+            monkeypatch.setattr(rowspace.harness, "find_witness", find)
+        source = tmp_path / "graphs.g6"
+        source.write_text(line + "\n")
+        out = tmp_path / "report.jsonl"
+        main(["verify", "--input", str(source), "--out", str(out), *options])
+        [record] = [json.loads(text) for text in out.read_text().splitlines()]
+        record.pop("elapsed_ms", None), record.pop("elapsed_us", None)
+        assert json.dumps(record) == expected
 
     def test_error_exit_code(self, tmp_path):
         source = tmp_path / "graphs.g6"
@@ -93,7 +184,7 @@ class TestVerify:
             assert records[1]["reason"] == "byte '\xc3' outside graph6 range (byte offset 0)"
             assert records[2]["reason"] == "trailing garbage after graph6 data (byte offset 3)"
             for r in records:
-                del r["elapsed_ms"], r["elapsed_us"]
+                del r["elapsed_us"]
         assert runs[0] == runs[1]
 
     def test_oracle_limit_zero_is_constructive_only(self, tmp_path):
@@ -234,6 +325,19 @@ class TestSizeBound:
             }
         assert runs[0] == runs[1]
 
+    def test_lines_are_pinned(self, tmp_path):
+        source = tmp_path / "graphs.g6"
+        source.write_text("Dhc\nC`\n!!!\n")
+        out = tmp_path / "bounds.jsonl"
+        assert main(["size-bound", "--input", str(source), "--out", str(out)]) == 1
+        assert out.read_text() == (
+            '{"graph6": "Dhc", "order": 5, "size": 5, "has_dominating": false, "diameter": 2, '
+            '"bound_2n_minus_5": 5, "meets_bound": true, "equality": true}\n'
+            '{"graph6": "C`", "order": 4, "size": 2, "has_dominating": false, "diameter": null, '
+            '"bound_2n_minus_5": 3, "meets_bound": false, "equality": false}\n'
+            '{"graph6": "!!!", "error": "byte \'!\' outside graph6 range (byte offset 0)"}\n'
+        )
+
     def test_internal_error_exit_code(self, tmp_path, capsys, monkeypatch):
         def fails(*args):
             raise RuntimeError("boom")
@@ -255,3 +359,33 @@ def test_out_naming_the_input_is_refused(tmp_path, capsys, command):
     assert main([command, "--input", str(source), "--out", same]) == 2
     assert "is the --input file" in capsys.readouterr().err
     assert source.read_bytes() == data
+
+
+@pytest.mark.parametrize(
+    "stream, argv",
+    [
+        ("stdin", ["verify"]),
+        ("stdout", ["verify", "--input", "{source}"]),
+        ("stdout", ["exhaustive", "--n", "3"]),
+    ],
+    ids=["verify-stdin", "verify-stdout", "exhaustive-stdout"],
+)
+def test_closed_standard_stream_is_a_file_error(tmp_path, capsys, monkeypatch, stream, argv):
+    # a process started with the stream closed sees None in its place
+    source = tmp_path / "graphs.g6"
+    source.write_text("C~\n")
+    monkeypatch.setattr(sys, stream, None)
+    assert main([arg.format(source=source) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"rowspace: error: {stream} is closed\n"
+
+
+def test_no_module_reads_the_environment():
+    # every setting is a command-line option or a keyword argument
+    package = Path(rowspace.__file__).parent
+    readers = [
+        f"{path.name}:{number}"
+        for path in sorted(package.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\b(environ|getenv|getenvb)\b", line)
+    ]
+    assert readers == []

@@ -7,10 +7,10 @@ import pytest
 
 import rowspace.harness
 from conftest import RecordingPool, co_c7
+from rowspace.cli import main
 from rowspace.families import build
 from rowspace.graph import Graph
 from rowspace.graph6 import parse_graph6, write_graph6
-from rowspace.cli import resolve_oracle_limit
 from rowspace.harness import (
     SizeBoundRecord,
     check_size_bound,
@@ -32,38 +32,6 @@ class TestEffectiveLines:
     def test_header_and_blanks_dropped(self):
         lines = [">>graph6<<", "", "C~\n", "  ", ">>graph6<<@"]
         assert list(effective_lines(lines)) == ["C~", "@"]
-
-
-class TestResolveOracleLimit:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("ROWSPACE_ORACLE_LIMIT", raising=False)
-        assert resolve_oracle_limit() == 16
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("ROWSPACE_ORACLE_LIMIT", "9")
-        assert resolve_oracle_limit() == 9
-        assert resolve_oracle_limit(5) == 5  # explicit beats env
-
-    def test_bad_env(self, monkeypatch):
-        monkeypatch.setenv("ROWSPACE_ORACLE_LIMIT", "many")
-        with pytest.raises(ValueError):
-            resolve_oracle_limit()
-
-    @pytest.mark.parametrize("value", [-1, MAX_ORACLE_LIMIT + 1, 40])
-    def test_out_of_range_rejected(self, monkeypatch, value):
-        monkeypatch.delenv("ROWSPACE_ORACLE_LIMIT", raising=False)
-        with pytest.raises(ValueError, match=f"outside 0..{MAX_ORACLE_LIMIT}"):
-            resolve_oracle_limit(value)
-        monkeypatch.setenv("ROWSPACE_ORACLE_LIMIT", str(value))
-        with pytest.raises(ValueError, match="ROWSPACE_ORACLE_LIMIT"):
-            resolve_oracle_limit()
-
-    def test_range_ends_accepted(self, monkeypatch):
-        monkeypatch.delenv("ROWSPACE_ORACLE_LIMIT", raising=False)
-        assert resolve_oracle_limit(MAX_ORACLE_LIMIT) == MAX_ORACLE_LIMIT
-        assert resolve_oracle_limit(0) == 0
-        monkeypatch.setenv("ROWSPACE_ORACLE_LIMIT", str(MAX_ORACLE_LIMIT))
-        assert resolve_oracle_limit() == MAX_ORACLE_LIMIT
 
 
 class TestRunVerification:
@@ -145,8 +113,7 @@ class TestRunVerification:
         serial = [r.to_json() for r in run_verification(lines)]
         parallel = [r.to_json() for r in run_verification(lines, jobs=2)]
         for a, b in zip(serial, parallel):
-            for key in ("elapsed_ms", "elapsed_us"):
-                a.pop(key), b.pop(key)
+            a.pop("elapsed_us"), b.pop("elapsed_us")
             assert a == b
 
     def test_record_json_shape(self):
@@ -155,9 +122,8 @@ class TestRunVerification:
         assert payload["certificate"] == ["1/2", "1/2", "1/2"]
         assert set(payload) == {
             "graph6", "status", "n", "edges", "diameter", "rank",
-            "strategy", "witness", "certificate", "elapsed_ms", "elapsed_us",
+            "strategy", "witness", "certificate", "elapsed_us",
         }
-        assert payload["elapsed_ms"] == round(payload["elapsed_us"] / 1000)
 
     def test_unresolved_reasons_are_pinned(self, monkeypatch):
         line = write_graph6(co_c7())
@@ -173,18 +139,27 @@ class TestRunVerification:
             "exhaustive candidate scan found no witness",
         )
 
-    def test_oracle_limit_env_ignored(self, monkeypatch):
-        # only the CLI reads ROWSPACE_ORACLE_LIMIT
+    def test_oracle_limit_env_ignored(self, tmp_path, monkeypatch):
+        # the bound is set by --oracle-limit alone, never by the environment
+        source = tmp_path / "graphs.g6"
+        source.write_text(write_graph6(co_c7()) + "\n")
+        out = tmp_path / "report.jsonl"
         for value in ("3", "40", "many"):
             monkeypatch.setenv("ROWSPACE_ORACLE_LIMIT", value)
-            [record] = run_verification([write_graph6(co_c7())])
-            assert (record.status, record.strategy) == ("ok", "oracle")
+            assert main(["verify", "--input", str(source), "--out", str(out)]) == 0
+            [record] = [json.loads(line) for line in out.read_text().splitlines()]
+            assert (record["status"], record["strategy"]) == ("ok", "oracle")
 
     @pytest.mark.parametrize("limit", [-1, MAX_ORACLE_LIMIT + 1])
     def test_oracle_limit_rejected_when_called(self, limit):
         # raised by the call itself, before any record is asked for
         with pytest.raises(ValueError, match=f"outside 0..{MAX_ORACLE_LIMIT}"):
             run_verification(["C~"], oracle_limit=limit)
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_rejected_when_called(self, jobs):
+        with pytest.raises(ValueError, match=f"--jobs {jobs} is below 1"):
+            run_verification(["C~"], jobs=jobs)
 
     def test_internal_error_keeps_streaming(self, monkeypatch):
         real = rowspace.harness.find_witness
@@ -202,7 +177,7 @@ class TestRunVerification:
         assert [r.status for r in records] == ["ok", "internal-error", "ok"]
         assert records[1].reason == "RuntimeError: strategy produced an invalid witness"
         assert set(records[1].to_json()) == {
-            "graph6", "status", "reason", "elapsed_ms", "elapsed_us",
+            "graph6", "status", "reason", "elapsed_us",
         }
 
 
