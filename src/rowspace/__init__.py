@@ -19,7 +19,6 @@ from .graph import (
 from .linalg import (
     MembershipCertificate,
     adjacency_matrix,
-    nullity,
     rank,
     solve_membership,
 )

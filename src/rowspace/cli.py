@@ -77,6 +77,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_exhaustive(args: argparse.Namespace) -> int:
+    """An ``--out`` that cannot be a file is refused before the sweep, which
+    may take minutes; the report is written after it, so an internal error
+    leaves no file."""
+    if args.out != "-" and os.path.isdir(args.out):
+        raise ValueError(f"--out {args.out} is a directory")
+    if args.out != "-" and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ValueError(f"--out {args.out} is in a missing directory")
     report = exhaustive_verify(args.n, jobs=args.jobs)
     with ExitStack() as stack:
         sink = _open_output(stack, args.out)

@@ -151,9 +151,6 @@ _RANK5_4 = (
     (1, 1, 1, 1, 0, 1, 0),
 )
 
-RANK5_CATALOG_NAMES = ("rank5-1", "rank5-2", "rank5-3", "rank5-4")
-
-
 def rank5_catalog_graph(index: int) -> Graph:
     """The index-th (1-based) hard-coded rank-5 catalog graph."""
     matrices = (_RANK5_1, _RANK5_2, _RANK5_3, _RANK5_4)

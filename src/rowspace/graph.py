@@ -14,6 +14,7 @@ graph is disconnected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 #: Multiplicity vector for a blow-up: one positive integer per vertex.
@@ -196,13 +197,17 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     return Graph(len(vertices), tuple(adj))
 
 
-def _validated_multiplicities(g: Graph, m: MultiplicityVector) -> tuple[int, ...]:
+def _clone_blocks(g: Graph, m: MultiplicityVector) -> list[range]:
+    """The positions of each vertex's clones in the blow-up by m: blocks of
+    m[i] positions, laid out contiguously in vertex order. ValueError unless
+    m holds one positive multiplicity per vertex."""
     m = tuple(m)
     if len(m) != g.n:
         raise ValueError(f"multiplicity vector has length {len(m)}, graph has {g.n} vertices")
     if any(k < 1 for k in m):
         raise ValueError("every multiplicity must be >= 1")
-    return m
+    ends = list(accumulate(m, initial=0))
+    return [range(a, b) for a, b in zip(ends, ends[1:])]
 
 
 def multiply_vertices(g: Graph, m: MultiplicityVector) -> Graph:
@@ -210,20 +215,13 @@ def multiply_vertices(g: Graph, m: MultiplicityVector) -> Graph:
 
     Clones of i and clones of j are fully joined iff i ~ j in ``g``. Clone
     blocks are laid out contiguously in input vertex order, so vertex i's
-    clones occupy positions sum(m[:i]) .. sum(m[:i+1])-1.
+    clones occupy positions sum(m[:i]) .. sum(m[:i+1])-1 (``_clone_blocks``).
     """
-    m = _validated_multiplicities(g, m)
-    starts = [0]
-    for k in m:
-        starts.append(starts[-1] + k)
-    blocks = [((1 << m[j]) - 1) << starts[j] for j in range(g.n)]
-    adj: list[int] = []
-    for i in range(g.n):
-        nb = 0
-        for j in iter_bits(g.adj[i]):
-            nb |= blocks[j]
-        adj.extend([nb] * m[i])
-    return Graph(starts[-1], tuple(adj))
+    blocks = _clone_blocks(g, m)
+    masks = [(1 << b.stop) - (1 << b.start) for b in blocks]
+    # the blocks are disjoint, so a sum of their masks is their union
+    rows = [sum(masks[j] for j in iter_bits(nb)) for nb in g.adj]
+    return Graph(blocks[-1].stop, tuple(row for row, b in zip(rows, blocks) for _ in b))
 
 
 def duplicate_vertex(g: Graph, v: int) -> Graph:

@@ -99,11 +99,6 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
     return len(integer_row_echelon(rows)[1])
 
 
-def nullity(g: Graph) -> int:
-    """Vertex count minus adjacency rank."""
-    return g.n - rank(adjacency_matrix(g))
-
-
 def solve_membership(rows: Sequence[Sequence[int]], x: Sequence[int]) -> MembershipCertificate | None:
     """Certificate c with sum(c_u * rows[u]) = x if x lies in the row space, else None.
 

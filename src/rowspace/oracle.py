@@ -160,16 +160,16 @@ def exhaustive_verify(n: int, jobs: int = 1) -> ExhaustiveReport:
     ``failures`` lists (as graph6) every graph for which no witness exists;
     an empty list means the searched property held throughout. The oracle
     runs at its default bound, which covers every n the generator accepts,
-    so every graph is decided. The edge-mask index range is one chunk when
-    one worker is left, and otherwise 16 chunks per worker, which
-    ``parallel_map`` runs on up to ``jobs`` processes; the partial reports
-    are merged in chunk order.
+    so every graph is decided. The edge-mask index range is cut into 16
+    chunks per worker (at most one mask each), which ``parallel_map`` runs
+    on up to ``jobs`` processes, or in this process when one worker is
+    left; the partial reports are merged in chunk order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     total = 1 << len(_edge_pairs(n))
     jobs = worker_count(jobs)
-    nchunks = 1 if jobs <= 1 else min(total, jobs * 16)
+    nchunks = min(total, jobs * 16)
     bounds = [total * k // nchunks for k in range(nchunks + 1)]
     chunks = [(n, bounds[k], bounds[k + 1]) for k in range(nchunks)]
     report = ExhaustiveReport(n=n, graphs_checked=0)

@@ -35,13 +35,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import lcm
 
 from . import families
 from .graph import (
     Graph,
-    _validated_multiplicities,
+    _clone_blocks,
     diametral_geodesic,
     find_adjacent_disjoint_pair,
     induced_subgraph,
@@ -78,6 +77,13 @@ class Witness:
     strategy: Strategy
 
 
+def _witness(vector, coefficients, strategy: Strategy) -> Witness:
+    """The one constructor: ``vector`` with the certificate that A^t
+    ``coefficients`` equals it, so its target is the vector itself."""
+    vector = tuple(vector)
+    return Witness(vector, MembershipCertificate(tuple(coefficients), vector), strategy)
+
+
 @dataclass(frozen=True)
 class StrategyOutcome:
     """The witness a strategy produced, or None and the reason it declined."""
@@ -104,10 +110,6 @@ def oracle_declines(g: Graph, limit: int) -> str | None:
     if n > limit:
         return f"no constructive strategy applied and n={n} exceeds the oracle bound {limit}"
     return None
-
-
-def _mask_vector(mask: int, n: int) -> tuple[int, ...]:
-    return tuple((mask >> v) & 1 for v in range(n))
 
 
 def verify_witness(g: Graph, w: Witness) -> bool:
@@ -143,19 +145,16 @@ def witness_complete(g: Graph) -> StrategyOutcome:
     """All-ones witness for complete graphs: every column sums to n-1."""
     if g.n < 2 or not g.is_complete():
         return StrategyOutcome(reason="not a complete graph on >= 2 vertices")
-    vector = (1,) * g.n
-    cert = MembershipCertificate((Fraction(1, g.n - 1),) * g.n, vector)
-    return StrategyOutcome(Witness(vector, cert, Strategy.COMPLETE))
+    return StrategyOutcome(_witness((1,) * g.n, (Fraction(1, g.n - 1),) * g.n, Strategy.COMPLETE))
 
 
 def _row_pair_sum(g: Graph, i: int, j: int, strategy: Strategy) -> StrategyOutcome:
     """Witness R_i + R_j with coefficient 1 on rows i and j; the caller has
     shown that the sum is 0/1-valued and equals no row."""
-    vector = _mask_vector(g.adj[i] | g.adj[j], g.n)
+    mask = g.adj[i] | g.adj[j]
     coeffs = [_ZERO] * g.n
     coeffs[i] = coeffs[j] = _ONE
-    cert = MembershipCertificate(tuple(coeffs), vector)
-    return StrategyOutcome(Witness(vector, cert, strategy))
+    return StrategyOutcome(_witness(((mask >> v) & 1 for v in range(g.n)), coeffs, strategy))
 
 
 def witness_disjoint_nbhd(g: Graph) -> StrategyOutcome:
@@ -192,11 +191,9 @@ def witness_dominating_regular(g: Graph) -> StrategyOutcome:
     if len(rest_degrees) != 1:
         return StrategyOutcome(reason="non-dominating vertices have unequal degrees")
     d = rest_degrees.pop()
-    vector = (1,) * g.n
     coeffs = [Fraction(1, g.n - 1)] * g.n
     coeffs[doms[0]] = Fraction(g.n - d, g.n - 1)
-    cert = MembershipCertificate(tuple(coeffs), vector)
-    return StrategyOutcome(Witness(vector, cert, Strategy.DOMINATING_REGULAR))
+    return StrategyOutcome(_witness((1,) * g.n, coeffs, Strategy.DOMINATING_REGULAR))
 
 
 # (graph, pinned 0/1 vector, pinned row coefficients) per catalog entry.
@@ -227,9 +224,8 @@ _CATALOG = (
 def witness_catalog_rank5(g: Graph) -> StrategyOutcome:
     """Pinned witness when g equals a catalog graph label-for-label."""
     for cg, vector, coeffs in _CATALOG:
-        if g.n == cg.n and g.adj == cg.adj:
-            cert = MembershipCertificate(coeffs, vector)
-            return StrategyOutcome(Witness(vector, cert, Strategy.CATALOG_RANK5))
+        if g.adj == cg.adj:
+            return StrategyOutcome(_witness(vector, coeffs, Strategy.CATALOG_RANK5))
     return StrategyOutcome(reason="adjacency matrix not in the rank-5 catalog")
 
 
@@ -243,8 +239,7 @@ def _embed(w: Witness, classes, n: int, strategy: Strategy) -> Witness:
         for v in members:
             vector[v] = x
         coeffs[members[0]] = c
-    vector = tuple(vector)
-    return Witness(vector, MembershipCertificate(tuple(coeffs), vector), strategy)
+    return _witness(vector, coeffs, strategy)
 
 
 def lift_witness(g: Graph, m, w: Witness) -> Witness:
@@ -260,9 +255,8 @@ def lift_witness(g: Graph, m, w: Witness) -> Witness:
     """
     if not verify_witness(g, w):
         raise ValueError("not a valid witness of the base graph")
-    ends = list(accumulate(_validated_multiplicities(g, m), initial=0))
-    blocks = [range(a, b) for a, b in zip(ends, ends[1:])]
-    return _embed(w, blocks, ends[-1], Strategy.LIFTED)
+    blocks = _clone_blocks(g, m)
+    return _embed(w, blocks, blocks[-1].stop, Strategy.LIFTED)
 
 
 _CONSTRUCTIVE = (

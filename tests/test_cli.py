@@ -285,6 +285,23 @@ class TestExhaustive:
         assert capsys.readouterr().err == "rowspace: internal error: RuntimeError: boom\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "out, reason",
+        [(".", "is a directory"), ("missing/report.json", "is in a missing directory")],
+        ids=["directory", "missing-parent"],
+    )
+    def test_unwritable_out_is_refused_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch, out, reason
+    ):
+        def sweep(*args, **kwargs):
+            pytest.fail("the sweep ran before --out was checked")
+
+        monkeypatch.setattr(rowspace.cli, "exhaustive_verify", sweep)
+        path = tmp_path / out
+        assert main(["exhaustive", "--n", "6", "--out", str(path)]) == 2
+        assert capsys.readouterr().err == f"rowspace: error: --out {path} {reason}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_bound_error(self, capsys):
         assert main(["exhaustive", "--n", "9"]) == 2
         assert "error" in capsys.readouterr().err

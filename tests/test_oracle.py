@@ -129,7 +129,8 @@ class TestExhaustive:
         # the generator yields is decided
         assert GENERATOR_LIMIT <= DEFAULT_ORACLE_LIMIT
 
-    def test_one_worker_scans_one_chunk_in_process(self, monkeypatch):
+    def test_one_worker_scans_sixteen_chunks_in_process(self, monkeypatch):
+        # one chunking rule for every worker count: 16 chunks per worker
         pool = RecordingPool()
         monkeypatch.setattr(rowspace.harness, "Pool", pool)
         chunks = []
@@ -141,7 +142,7 @@ class TestExhaustive:
 
         monkeypatch.setattr(rowspace.oracle, "_scan_chunk", recording)
         assert exhaustive_verify(4, jobs=1).graphs_checked == 38
-        assert (chunks, pool.requested) == ([(4, 0, 64)], [])
+        assert (chunks, pool.requested) == ([(4, 4 * k, 4 * k + 4) for k in range(16)], [])
 
     def test_generator_bound(self):
         with pytest.raises(CapacityError):

@@ -6,17 +6,16 @@ imported for span-recording wrappers (``interposed``). A change under
 ``src/`` that renames one of those names, or that makes the real dispatch
 part from the replayed one, breaks traced benchmark runs; this test loads
 the tracer by path, as the benchmark does, and fails first.
+
+The package is looked up when the test runs, not when this file is
+imported: the benchmark's runner imports ``rowspace`` afresh, and names
+taken before that would mix the old modules' classes with the new ones.
 """
 
+import importlib
 import importlib.util
 from itertools import combinations
 from pathlib import Path
-
-import rowspace
-from rowspace.families import build, rank5_catalog_graph
-from rowspace.graph import Graph
-from rowspace.graph6 import write_graph6
-from rowspace.harness import run_verification
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -28,29 +27,33 @@ def load_tracing():
     return module
 
 
-def octahedron() -> Graph:
+def octahedron(rowspace):
     """K_{2,2,2}: three twin pairs, so only twin contraction (to K3) fires."""
     missing = {(0, 1), (2, 3), (4, 5)}
-    return Graph.from_edges(6, [p for p in combinations(range(6), 2) if p not in missing])
+    edges = [p for p in combinations(range(6), 2) if p not in missing]
+    return rowspace.Graph.from_edges(6, edges)
 
 
-def co_c7() -> Graph:
+def co_c7(rowspace):
     """Complement of the 7-cycle: reduced, and only the oracle fires."""
-    c7 = build("cycle", 7)
+    c7 = rowspace.build("cycle", 7)
     full = (1 << 7) - 1
-    return Graph(7, tuple(full ^ nb ^ (1 << v) for v, nb in enumerate(c7.adj)))
+    return rowspace.Graph(7, tuple(full ^ nb ^ (1 << v) for v, nb in enumerate(c7.adj)))
 
 
 def test_replay_matches_find_witness():
+    rowspace = importlib.import_module("rowspace")
+    build, write_graph6 = rowspace.build, rowspace.write_graph6
+    run_verification = rowspace.run_verification
     tracing = load_tracing()
     graphs = [
         build("complete", 4),
         build("cycle", 5),
         build("path", 6),
         build("wheel", 7),
-        rank5_catalog_graph(3),
-        octahedron(),
-        co_c7(),
+        rowspace.families.rank5_catalog_graph(3),
+        octahedron(rowspace),
+        co_c7(rowspace),
     ]
     tracer = tracing.Tracer()
     replay = tracing.DispatchReplay(rowspace, tracer)

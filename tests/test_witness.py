@@ -1,6 +1,8 @@
+import ast
 import hashlib
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -561,3 +563,29 @@ class TestWitnessIdentity:
         # every embedding caller and the oracle are exercised
         assert (by_kind["padded"], by_kind["lifted"], by_kind["oracle"]) == (323, 26, 90)
         assert digest.hexdigest() == self.DIGEST
+
+
+def certificate_calls(node, scope: str):
+    """The dotted scope of every ``MembershipCertificate(...)`` call under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        if isinstance(child, ast.Call):
+            callee = child.func
+            if getattr(callee, "id", getattr(callee, "attr", None)) == "MembershipCertificate":
+                yield scope
+        yield from certificate_calls(child, inner)
+
+
+def test_certificates_are_built_in_two_places():
+    # the solver builds the certificates it solves and ``witness._witness``
+    # every other one, pairing it with its vector, so no witness the package
+    # builds can carry a target that is not its vector
+    package = Path(rowspace.witness.__file__).parent
+    sites = {
+        scope
+        for path in sorted(package.rglob("*.py"))
+        for scope in certificate_calls(ast.parse(path.read_text()), path.stem)
+    }
+    assert sites == {"linalg.solve_membership", "witness._witness"}
