@@ -22,13 +22,7 @@ from .linalg import (
     rank,
     solve_membership,
 )
-from .families import (
-    build,
-    h_family_generate,
-    kotlov_lovasz_n,
-    rank_formula_cycle,
-    rank_formula_path,
-)
+from .families import build
 from .witness import (
     DEFAULT_ORACLE_LIMIT,
     Strategy,

@@ -80,6 +80,8 @@ def _cmd_exhaustive(args: argparse.Namespace) -> int:
     """An ``--out`` that cannot be a file is refused before the sweep, which
     may take minutes; the report is written after it, so an internal error
     leaves no file."""
+    if not args.out:
+        raise ValueError("--out is empty")
     if args.out != "-" and os.path.isdir(args.out):
         raise ValueError(f"--out {args.out} is a directory")
     if args.out != "-" and not os.path.isdir(os.path.dirname(args.out) or "."):

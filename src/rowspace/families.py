@@ -1,5 +1,5 @@
 """Constructors for the named graphs and parametric families used in tests
-and witness strategies, plus the closed-form rank formulas they obey.
+and witness strategies.
 
 Labeling conventions are fixed so that witnesses and certificates are
 reproducible: cycles and paths are numbered consecutively, star and wheel
@@ -9,7 +9,7 @@ vertices (see ``duplicate_vertex``).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 from .graph import Graph, duplicate_vertex
 
@@ -199,55 +199,3 @@ def build(family: str, size: int | None = None) -> Graph:
     if size is None:
         raise ValueError(f"{family} needs a size parameter")
     return _PARAMETRIC[family](size)
-
-
-def rank_formula_path(n: int) -> int:
-    """Closed-form adjacency rank of the n-vertex path: n if even, n-1 if odd."""
-    if n < 1:
-        raise ValueError("path needs n >= 1")
-    return n if n % 2 == 0 else n - 1
-
-
-def rank_formula_cycle(n: int) -> int:
-    """Closed-form adjacency rank of the n-cycle: n-2 if 4 | n, else n."""
-    if n < 3:
-        raise ValueError("cycle needs n >= 3")
-    return n - 2 if n % 4 == 0 else n
-
-
-def kotlov_lovasz_n(r: int) -> int:
-    """Kotlov-Lovasz largest known order of a reduced graph of rank r."""
-    if r < 2:
-        raise ValueError("rank must be >= 2")
-    if r % 2 == 0:
-        return 2 ** ((r + 2) // 2) - 2
-    return 5 * 2 ** ((r - 3) // 2) - 2
-
-
-_H_FAMILY_BASES: dict[str, Callable[[], Graph]] = {
-    "c5": lambda: cycle(5),
-    "apexed-net": apexed_net,
-    "petersen": petersen,
-}
-
-
-def h_family_generate(base: str, duplications: Sequence[int]) -> Graph:
-    """Chain degree-2 vertex duplications starting from an extremal seed.
-
-    The seeds (5-cycle, apexed net, Petersen graph) together with closure
-    under degree-2 duplication generate exactly the diameter-2 graphs with
-    no dominating vertex whose size meets the 2n-5 bound with equality.
-    Each duplication appends the clone as a new last vertex, so indices in
-    ``duplications`` refer to the graph as built so far.
-    """
-    try:
-        g = _H_FAMILY_BASES[base]()
-    except KeyError:
-        raise ValueError(f"unknown base {base!r}; expected one of {sorted(_H_FAMILY_BASES)}")
-    for v in duplications:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-        if g.degree(v) != 2:
-            raise ValueError(f"vertex {v} has degree {g.degree(v)}, need degree 2")
-        g = duplicate_vertex(g, v)
-    return g

@@ -17,9 +17,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
-#: Multiplicity vector for a blow-up: one positive integer per vertex.
-MultiplicityVector = Sequence[int]
-
 
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
@@ -197,7 +194,7 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     return Graph(len(vertices), tuple(adj))
 
 
-def _clone_blocks(g: Graph, m: MultiplicityVector) -> list[range]:
+def _clone_blocks(g: Graph, m: Sequence[int]) -> list[range]:
     """The positions of each vertex's clones in the blow-up by m: blocks of
     m[i] positions, laid out contiguously in vertex order. ValueError unless
     m holds one positive multiplicity per vertex."""
@@ -210,7 +207,7 @@ def _clone_blocks(g: Graph, m: MultiplicityVector) -> list[range]:
     return [range(a, b) for a, b in zip(ends, ends[1:])]
 
 
-def multiply_vertices(g: Graph, m: MultiplicityVector) -> Graph:
+def multiply_vertices(g: Graph, m: Sequence[int]) -> Graph:
     """Blow-up: replace vertex i by an independent set of m[i] clones.
 
     Clones of i and clones of j are fully joined iff i ~ j in ``g``. Clone

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from .graph import Graph
 
-_SHORT_MAX = 62
-_LONG_MAX = 258047
-_HUGE_MAX = 68719476735
+#: The vertex-count forms: entry k is the largest n of the form with k
+#: leading '~', and its count of 6-bit digits. The long form stops at
+#: 258047 = 62 * 64**2 + 63 * 64 + 63 so that its first digit is never '~'.
+_ORDER_FORMS = ((62, 1), (258047, 3), (68719476735, 6))
 
 OPTIONAL_HEADER = ">>graph6<<"
 
@@ -37,18 +38,14 @@ def _char_value(line: str, pos: int) -> int:
 
 def _parse_order(line: str) -> tuple[int, int]:
     """Vertex count and the offset where the edge bits start."""
-    first = _char_value(line, 0)
-    if first != 63:
-        return first, 1
-    if _char_value(line, 1) != 63:
-        n = 0
-        for pos in range(1, 4):
-            n = (n << 6) | _char_value(line, pos)
-        return n, 4
+    tildes = 0
+    while tildes < 2 and _char_value(line, tildes) == 63:
+        tildes += 1
+    digits = _ORDER_FORMS[tildes][1]
     n = 0
-    for pos in range(2, 8):
+    for pos in range(tildes, tildes + digits):
         n = (n << 6) | _char_value(line, pos)
-    return n, 8
+    return n, tildes + digits
 
 
 def parse_graph6(line: str) -> Graph:
@@ -85,12 +82,10 @@ def parse_graph6(line: str) -> Graph:
 
 
 def _encode_order(n: int) -> str:
-    if n <= _SHORT_MAX:
-        return chr(63 + n)
-    if n <= _LONG_MAX:
-        return "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
-    if n <= _HUGE_MAX:
-        return "~~" + "".join(chr(63 + ((n >> s) & 63)) for s in (30, 24, 18, 12, 6, 0))
+    for tildes, (largest, digits) in enumerate(_ORDER_FORMS):
+        if n <= largest:
+            shifts = range(6 * digits - 6, -1, -6)
+            return "~" * tildes + "".join(chr(63 + (n >> s & 63)) for s in shifts)
     raise ValueError(f"n={n} exceeds the graph6 size limit")
 
 

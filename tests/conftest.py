@@ -77,6 +77,16 @@ def all_shortest_paths(g: Graph, u: int, v: int) -> list[tuple[int, ...]]:
     return out
 
 
+def path_rank(n: int) -> int:
+    """Closed-form adjacency rank of the n-vertex path: n if even, n-1 if odd."""
+    return n if n % 2 == 0 else n - 1
+
+
+def cycle_rank(n: int) -> int:
+    """Closed-form adjacency rank of the n-cycle: n-2 if 4 | n, else n."""
+    return n - 2 if n % 4 == 0 else n
+
+
 def co_c7() -> Graph:
     """Complement of the 7-cycle: reduced and connected, and no constructive
     strategy applies, so only the oracle finds its witness."""

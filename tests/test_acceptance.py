@@ -10,8 +10,11 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 import fraction_reference as reference
-from rowspace.families import build, rank_formula_cycle, rank_formula_path
+from conftest import cycle_rank, path_rank
+from rowspace.families import build
 from rowspace.graph import Graph, diameter, iter_bits, multiply_vertices
 from rowspace.graph6 import parse_graph6, write_graph6
 from rowspace.harness import check_size_bound
@@ -65,8 +68,8 @@ BLOWUP_PAIRS = _random_blowup_pairs()
 def test_criterion_1_rank_formulas():
     start = time.perf_counter()
     for n in range(3, 65):
-        assert rank(adjacency_matrix(build("path", n))) == rank_formula_path(n), n
-        assert rank(adjacency_matrix(build("cycle", n))) == rank_formula_cycle(n), n
+        assert rank(adjacency_matrix(build("path", n))) == path_rank(n), n
+        assert rank(adjacency_matrix(build("cycle", n))) == cycle_rank(n), n
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"rank formulas took {elapsed:.2f}s, budget is 5s"
     _report(1, f"path and cycle ranks match closed forms for 3 <= n <= 64 ({elapsed:.2f}s)")
@@ -130,6 +133,7 @@ def test_criterion_5_blowup_laws():
     _report(5, f"rank/diameter/lifting laws hold on {len(BLOWUP_PAIRS)} blow-ups ({elapsed:.2f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_6_exhaustive_desk_scale():
     start = time.perf_counter()
     totals = {}
@@ -219,6 +223,7 @@ def test_criterion_8_size_bound():
     _report(8, "2n-5 bound holds on every diameter-2 dominating-free graph, equality at the seeds")
 
 
+@pytest.mark.slow
 def test_criterion_9_graph6_round_trip():
     assert parse_graph6("C~") == build("complete", 4)
     count = 0

@@ -286,20 +286,24 @@ class TestExhaustive:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "out, reason",
-        [(".", "is a directory"), ("missing/report.json", "is in a missing directory")],
-        ids=["directory", "missing-parent"],
+        "out, message",
+        [
+            (".", "--out {path} is a directory"),
+            ("missing/report.json", "--out {path} is in a missing directory"),
+            ("", "--out is empty"),
+        ],
+        ids=["directory", "missing-parent", "empty"],
     )
     def test_unwritable_out_is_refused_before_the_sweep(
-        self, tmp_path, capsys, monkeypatch, out, reason
+        self, tmp_path, capsys, monkeypatch, out, message
     ):
         def sweep(*args, **kwargs):
             pytest.fail("the sweep ran before --out was checked")
 
         monkeypatch.setattr(rowspace.cli, "exhaustive_verify", sweep)
-        path = tmp_path / out
-        assert main(["exhaustive", "--n", "6", "--out", str(path)]) == 2
-        assert capsys.readouterr().err == f"rowspace: error: --out {path} {reason}\n"
+        path = str(tmp_path / out) if out else out
+        assert main(["exhaustive", "--n", "6", "--out", path]) == 2
+        assert capsys.readouterr().err == f"rowspace: error: {message.format(path=path)}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_bound_error(self, capsys):

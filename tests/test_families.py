@@ -2,15 +2,8 @@ import random
 
 import pytest
 
-from rowspace.families import (
-    FAMILY_NAMES,
-    build,
-    h_family_generate,
-    kotlov_lovasz_n,
-    rank_formula_cycle,
-    rank_formula_path,
-    rank5_catalog_graph,
-)
+from conftest import cycle_rank, path_rank
+from rowspace.families import FAMILY_NAMES, build, rank5_catalog_graph
 from rowspace.graph import diameter, duplicate_vertex, is_reduced
 from rowspace.linalg import adjacency_matrix, rank
 
@@ -97,56 +90,44 @@ class TestRank5Catalog:
 
 class TestRankFormulas:
     def test_examples(self):
-        assert rank_formula_path(5) == 4
-        assert rank_formula_cycle(8) == 6
-        assert rank_formula_cycle(5) == 5
+        assert path_rank(5) == 4
+        assert cycle_rank(8) == 6
+        assert cycle_rank(5) == 5
 
     def test_match_computed_ranks_small(self):
         for n in range(3, 13):
-            assert rank(adjacency_matrix(build("path", n))) == rank_formula_path(n)
-            assert rank(adjacency_matrix(build("cycle", n))) == rank_formula_cycle(n)
-
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            rank_formula_path(0)
-        with pytest.raises(ValueError):
-            rank_formula_cycle(2)
+            assert rank(adjacency_matrix(build("path", n))) == path_rank(n)
+            assert rank(adjacency_matrix(build("cycle", n))) == cycle_rank(n)
 
 
-class TestKotlovLovasz:
-    @pytest.mark.parametrize("r,expected", [(2, 2), (3, 3), (4, 6), (5, 8), (6, 14)])
-    def test_values(self, r, expected):
-        assert kotlov_lovasz_n(r) == expected
-
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            kotlov_lovasz_n(1)
+SEEDS = [(("cycle", 5), 5, 5), (("apexed-net",), 7, 9), (("petersen",), 10, 15)]
 
 
 class TestHFamily:
+    """The H family: the seeds C5, the apexed net and the Petersen graph,
+    closed under duplication of a degree-2 vertex, give exactly the
+    diameter-2 graphs with no dominating vertex whose size meets the 2n-5
+    bound with equality. ``duplicate_vertex`` appends each clone as a new
+    last vertex, so earlier labels stay put along a chain."""
+
     def test_seeds_meet_bound_with_equality(self):
-        for base, order, size in [("c5", 5, 5), ("apexed-net", 7, 9), ("petersen", 10, 15)]:
-            g = h_family_generate(base, [])
+        for spec, order, size in SEEDS:
+            g = build(*spec)
             assert (g.n, g.size) == (order, size)
             assert g.size == 2 * g.n - 5
 
     def test_triple_duplication(self):
-        g = h_family_generate("c5", [0, 0, 0])
+        g = build("cycle", 5)
+        for _ in range(3):
+            assert g.degree(0) == 2
+            g = duplicate_vertex(g, 0)
         assert (g.n, g.size) == (8, 11)
         assert g.size == 2 * g.n - 5
 
-    def test_degree_two_required(self):
-        with pytest.raises(ValueError):
-            h_family_generate("apexed-net", [0])  # degree 3 vertex
-
-    def test_unknown_base(self):
-        with pytest.raises(ValueError):
-            h_family_generate("c6", [])
-
     def test_random_chains_stay_extremal(self):
         rng = random.Random(7)
-        for base in ("c5", "apexed-net", "petersen"):
-            g = h_family_generate(base, [])
+        for spec, _, _ in SEEDS:
+            g = build(*spec)
             for _ in range(6):
                 choices = [v for v in range(g.n) if g.degree(v) == 2]
                 if not choices:

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from conftest import graphs
 from rowspace.families import FAMILY_NAMES, build
 from rowspace.graph import Graph
-from rowspace.graph6 import Graph6ParseError, parse_graph6, write_graph6
+from rowspace.graph6 import (
+    Graph6ParseError,
+    _encode_order,
+    _parse_order,
+    parse_graph6,
+    write_graph6,
+)
 
 
 def networkx_encode(g: Graph) -> str:
@@ -100,6 +106,24 @@ class TestRoundTrip:
         assert line.startswith("~")
         assert parse_graph6(line) == g
         assert line == networkx_encode(g)
+
+    @pytest.mark.parametrize(
+        "n, header",
+        [
+            (62, "}"),
+            (63, "~??~"),
+            (258047, "~}~~"),
+            (258048, "~~???~??"),
+            (2**36 - 1, "~~~~~~~~"),
+        ],
+    )
+    def test_order_forms_at_their_boundaries(self, n, header):
+        assert _encode_order(n) == header
+        assert _parse_order(header) == (n, len(header))
+
+    def test_order_beyond_the_huge_form(self):
+        with pytest.raises(ValueError, match="exceeds the graph6 size limit"):
+            _encode_order(2**36)
 
     @settings(max_examples=200)
     @given(graphs(max_n=12))

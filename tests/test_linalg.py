@@ -219,6 +219,7 @@ class TestDifferentialAgainstFractionReference:
     """The integer solver must return the Fraction reference's certificate
     exactly, or None where the reference does."""
 
+    @pytest.mark.slow
     def test_every_connected_graph_up_to_six(self):
         rng = random.Random(2204_02689)
         solves = members = 0
