@@ -14,10 +14,10 @@ from typing import IO, Callable
 from .families import FAMILY_NAMES, build
 from .graph import diameter
 from .graph6 import write_graph6
-from .harness import check_size_bound, run_verification, worker_count
+from .harness import check_size_bound, run_verification
 from .linalg import adjacency_matrix, rank
 from .oracle import exhaustive_verify
-from .witness import DEFAULT_ORACLE_LIMIT, MAX_ORACLE_LIMIT, check_oracle_limit
+from .witness import DEFAULT_ORACLE_LIMIT, MAX_ORACLE_LIMIT
 
 
 def _open_input(stack: ExitStack, path: str) -> IO[str]:
@@ -40,23 +40,20 @@ def _open_output(stack: ExitStack, path: str) -> IO[str]:
     return stack.enter_context(open(path, "w", encoding="ascii"))
 
 
-def _open_streams(stack: ExitStack, args: argparse.Namespace) -> tuple[IO[str], IO[str]]:
-    """``--input`` and ``--out`` of a streaming command. An output naming
-    the input file is refused: opening it would truncate the input before
-    its first line is read."""
+def _stream(args: argparse.Namespace, records: Callable, exit_of: Callable) -> int:
+    """``records`` of the ``--input`` stream, one JSON line each on ``--out``;
+    exit with the first of 3, 4, 1 that ``exit_of`` gives a record, else 0.
+    ``records`` is called before ``--out`` is opened, so it can refuse its
+    arguments first. An output naming the input file is refused: opening it
+    would truncate the input before its first line is read."""
     paths = (args.input, args.out)
     if "-" not in paths and os.path.exists(args.out) and os.path.samefile(*paths):
         raise ValueError(f"--out {args.out} is the --input file")
-    return _open_input(stack, args.input), _open_output(stack, args.out)
-
-
-def _stream(args: argparse.Namespace, records: Callable, exit_of: Callable) -> int:
-    """``records`` of the ``--input`` stream, one JSON line each on ``--out``;
-    exit with the first of 3, 4, 1 that ``exit_of`` gives a record, else 0."""
     codes = set()
     with ExitStack() as stack:
-        source, sink = _open_streams(stack, args)
-        for record in records(source):
+        stream = records(_open_input(stack, args.input))
+        sink = _open_output(stack, args.out)
+        for record in stream:
             codes.add(exit_of(record))
             sink.write(json.dumps(record.to_json()) + "\n")
     return next((code for code in (3, 4, 1) if code in codes), 0)
@@ -69,9 +66,7 @@ _VERIFY_EXITS = {"no-witness-found": 3, "internal-error": 4, "error": 1}
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Exit 3 if any record is a counterexample, else 4 if any record hit an
     internal error, else 1 if any line failed to parse, else 0. A bad
-    ``--oracle-limit`` or ``--jobs`` is refused before a stream is opened."""
-    check_oracle_limit(args.oracle_limit)
-    worker_count(args.jobs)
+    ``--oracle-limit`` or ``--jobs`` is refused before ``--out`` is opened."""
     verify = partial(run_verification, oracle_limit=args.oracle_limit, jobs=args.jobs)
     return _stream(args, verify, lambda record: _VERIFY_EXITS.get(record.status, 0))
 

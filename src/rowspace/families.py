@@ -112,53 +112,6 @@ def c5_with_twin() -> Graph:
     return duplicate_vertex(cycle(5), 3)
 
 
-# Hard-coded singular rank-5 graphs used by the catalog witness strategy.
-# Stored as literal adjacency matrices: the classification they come from
-# pins them only up to blow-up, and these exact labelings are what the
-# pinned coefficient identities in the witness engine refer to.
-_RANK5_1 = (
-    (0, 1, 0, 0, 0, 1, 0),
-    (1, 0, 1, 0, 0, 1, 1),
-    (0, 1, 0, 1, 0, 1, 1),
-    (0, 0, 1, 0, 1, 1, 1),
-    (0, 0, 0, 1, 0, 0, 1),
-    (1, 1, 1, 1, 0, 0, 0),
-    (0, 1, 1, 1, 1, 0, 0),
-)
-_RANK5_2 = (
-    (0, 1, 0, 0, 1, 1),
-    (1, 0, 1, 0, 1, 0),
-    (0, 1, 0, 1, 1, 1),
-    (0, 0, 1, 0, 0, 1),
-    (1, 1, 1, 0, 0, 1),
-    (1, 0, 1, 1, 1, 0),
-)
-_RANK5_3 = (
-    (0, 1, 0, 0, 1, 1),
-    (1, 0, 1, 0, 1, 1),
-    (0, 1, 0, 1, 0, 1),
-    (0, 0, 1, 0, 1, 1),
-    (1, 1, 0, 1, 0, 1),
-    (1, 1, 1, 1, 1, 0),
-)
-_RANK5_4 = (
-    (0, 1, 0, 0, 1, 1, 1),
-    (1, 0, 1, 0, 1, 0, 1),
-    (0, 1, 0, 1, 1, 1, 1),
-    (0, 0, 1, 0, 0, 1, 1),
-    (1, 1, 1, 0, 0, 1, 0),
-    (1, 0, 1, 1, 1, 0, 1),
-    (1, 1, 1, 1, 0, 1, 0),
-)
-
-def rank5_catalog_graph(index: int) -> Graph:
-    """The index-th (1-based) hard-coded rank-5 catalog graph."""
-    matrices = (_RANK5_1, _RANK5_2, _RANK5_3, _RANK5_4)
-    if not 1 <= index <= len(matrices):
-        raise ValueError(f"catalog index {index} out of range")
-    return Graph.from_adjacency(matrices[index - 1])
-
-
 _FIXED: dict[str, Callable[[], Graph]] = {
     "petersen": petersen,
     "apexed-net": apexed_net,
@@ -169,10 +122,25 @@ _FIXED: dict[str, Callable[[], Graph]] = {
     "co-c6": co_c6,
     "k4": lambda: complete(4),
     "c5-with-twin": c5_with_twin,
-    "rank5-1": lambda: rank5_catalog_graph(1),
-    "rank5-2": lambda: rank5_catalog_graph(2),
-    "rank5-3": lambda: rank5_catalog_graph(3),
-    "rank5-4": lambda: rank5_catalog_graph(4),
+    # Hard-coded singular rank-5 graphs used by the catalog witness strategy.
+    # The classification they come from pins them only up to blow-up, and
+    # these exact labelings are what the pinned coefficient identities in the
+    # witness engine refer to.
+    "rank5-1": lambda: Graph.from_edges(7, [
+        (0, 1), (0, 5), (1, 2), (1, 5), (1, 6), (2, 3),
+        (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (4, 6),
+    ]),
+    "rank5-2": lambda: Graph.from_edges(6, [
+        (0, 1), (0, 4), (0, 5), (1, 2), (1, 4), (2, 3), (2, 4), (2, 5), (3, 5), (4, 5),
+    ]),
+    "rank5-3": lambda: Graph.from_edges(6, [
+        (0, 1), (0, 4), (0, 5), (1, 2), (1, 4), (1, 5),
+        (2, 3), (2, 5), (3, 4), (3, 5), (4, 5),
+    ]),
+    "rank5-4": lambda: Graph.from_edges(7, [
+        (0, 1), (0, 4), (0, 5), (0, 6), (1, 2), (1, 4), (1, 6), (2, 3),
+        (2, 4), (2, 5), (2, 6), (3, 5), (3, 6), (4, 5), (5, 6),
+    ]),
 }
 
 _PARAMETRIC: dict[str, Callable[[int], Graph]] = {

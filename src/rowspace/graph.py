@@ -60,21 +60,6 @@ class Graph:
             adj[v] |= 1 << u
         return cls(n, tuple(adj))
 
-    @classmethod
-    def from_adjacency(cls, rows: Sequence[Sequence[int]]) -> Graph:
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("adjacency matrix must be square")
-        adj = []
-        for row in rows:
-            mask = 0
-            for j, a in enumerate(row):
-                if a not in (0, 1):
-                    raise ValueError("adjacency entries must be 0 or 1")
-                mask |= a << j
-            adj.append(mask)
-        return cls(n, tuple(adj))
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 

@@ -30,6 +30,11 @@ from .graph6 import OPTIONAL_HEADER, Graph6ParseError, parse_graph6
 from .linalg import adjacency_matrix, rank
 from .witness import DEFAULT_ORACLE_LIMIT, check_oracle_limit, find_witness, oracle_declines
 
+#: Largest n whose record carries the adjacency rank. Bareiss elimination
+#: does n^3 steps on entries that grow with n, so one larger line could
+#: stall a batch for minutes; a record above this has no ``rank`` key.
+RANK_LIMIT = 256
+
 
 def worker_count(jobs: int) -> int:
     """The worker processes ``jobs`` asks for, at most ``os.cpu_count()``;
@@ -144,7 +149,7 @@ def _verify_graph(line: str, oracle_limit: int) -> VerificationRecord:
         n=g.n,
         edges=g.size,
         diameter=diameter(g),
-        rank=rank(adjacency_matrix(g)),
+        rank=rank(adjacency_matrix(g)) if g.n <= RANK_LIMIT else None,
     )
     if g.size == 0:
         record.status = "skipped"

@@ -196,37 +196,33 @@ def witness_dominating_regular(g: Graph) -> StrategyOutcome:
     return StrategyOutcome(_witness((1,) * g.n, coeffs, Strategy.DOMINATING_REGULAR))
 
 
-# (graph, pinned 0/1 vector, pinned row coefficients) per catalog entry.
-_CATALOG = (
-    (
-        families.rank5_catalog_graph(1),
+# Adjacency of each catalog graph -> (pinned 0/1 vector, pinned row coefficients).
+_CATALOG = {
+    families.build("rank5-1").adj: (
         (0, 1, 1, 1, 1, 1, 1),
         (_ZERO, -_HALF, _HALF, _ONE, _ZERO, _HALF, _ZERO),
     ),
-    (
-        families.rank5_catalog_graph(2),
+    families.build("rank5-2").adj: (
         (1, 1, 1, 1, 1, 1),
         (_HALF, -_HALF, _ZERO, _ZERO, _HALF, _ONE),
     ),
-    (
-        families.rank5_catalog_graph(3),
+    families.build("rank5-3").adj: (
         (1, 1, 1, 1, 1, 1),
         (_ZERO, _ZERO, _ZERO, _HALF, _HALF, _HALF),
     ),
-    (
-        families.rank5_catalog_graph(4),
+    families.build("rank5-4").adj: (
         (1, 1, 1, 1, 1, 1, 1),
         (-_HALF, _HALF, _ONE, _ZERO, _HALF, _ZERO, _ZERO),
     ),
-)
+}
 
 
 def witness_catalog_rank5(g: Graph) -> StrategyOutcome:
     """Pinned witness when g equals a catalog graph label-for-label."""
-    for cg, vector, coeffs in _CATALOG:
-        if g.adj == cg.adj:
-            return StrategyOutcome(_witness(vector, coeffs, Strategy.CATALOG_RANK5))
-    return StrategyOutcome(reason="adjacency matrix not in the rank-5 catalog")
+    pinned = _CATALOG.get(g.adj)
+    if pinned is None:
+        return StrategyOutcome(reason="adjacency matrix not in the rank-5 catalog")
+    return StrategyOutcome(_witness(*pinned, Strategy.CATALOG_RANK5))
 
 
 def _embed(w: Witness, classes, n: int, strategy: Strategy) -> Witness:

@@ -132,7 +132,7 @@ class TestVerify:
         assert main(args + ["--oracle-limit", "20"]) == 0
 
     def test_bad_oracle_limit_leaves_out_unchanged(self, tmp_path, capsys):
-        # the limit is refused before either stream is opened
+        # the limit is refused before --out is opened
         source = tmp_path / "graphs.g6"
         source.write_text("C~\n")
         out = tmp_path / "report.jsonl"

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from conftest import cycle_rank, path_rank
-from rowspace.families import FAMILY_NAMES, build, rank5_catalog_graph
+from rowspace.families import FAMILY_NAMES, build
 from rowspace.graph import diameter, duplicate_vertex, is_reduced
+from rowspace.graph6 import write_graph6
 from rowspace.linalg import adjacency_matrix, rank
 
 
@@ -61,31 +62,20 @@ class TestRankFourAnchors:
 
 
 class TestRank5Catalog:
-    def test_pinned_matrix(self):
-        M = adjacency_matrix(build("rank5-2"))
-        expected = (
-            (0, 1, 0, 0, 1, 1),
-            (1, 0, 1, 0, 1, 0),
-            (0, 1, 0, 1, 1, 1),
-            (0, 0, 1, 0, 0, 1),
-            (1, 1, 1, 0, 0, 1),
-            (1, 0, 1, 1, 1, 0),
-        )
-        assert tuple(tuple(row) for row in M) == expected
+    # The catalog witnesses' pinned coefficients refer to these exact labelings.
+    @pytest.mark.parametrize("name, line", [
+        ("rank5-1", "FhFro"), ("rank5-2", "Ehyw"), ("rank5-3", "Ehvw"), ("rank5-4", "Fhy~g"),
+    ])
+    def test_pinned_matrix(self, name, line):
+        assert write_graph6(build(name)) == line
 
     @pytest.mark.parametrize("index", [1, 2, 3, 4])
     def test_all_have_rank_five(self, index):
-        g = rank5_catalog_graph(index)
+        g = build(f"rank5-{index}")
         M = adjacency_matrix(g)
         assert rank(M) == 5
         # symmetric with zero diagonal comes for free from Graph validation
         assert all(M[i][i] == 0 for i in range(g.n))
-
-    def test_index_bounds(self):
-        with pytest.raises(ValueError):
-            rank5_catalog_graph(0)
-        with pytest.raises(ValueError):
-            rank5_catalog_graph(5)
 
 
 class TestRankFormulas:

@@ -54,10 +54,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(0, 3)])
 
-    def test_from_adjacency_matches_edges(self):
-        g = Graph.from_adjacency([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-        assert g == build("path", 3)
-
 
 class TestDegree:
     def test_complete_graph(self):

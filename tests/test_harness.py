@@ -125,6 +125,13 @@ class TestRunVerification:
             "strategy", "witness", "certificate", "elapsed_us",
         }
 
+    def test_rank_omitted_above_rank_limit(self):
+        assert rowspace.harness.RANK_LIMIT == 256
+        at, above = run_verification([write_graph6(build("path", n)) for n in (256, 257)])
+        assert at.to_json()["rank"] == 256
+        assert above.status == "ok" and above.reason is None
+        assert "rank" not in above.to_json()
+
     def test_unresolved_reasons_are_pinned(self, monkeypatch):
         line = write_graph6(co_c7())
         [record] = run_verification([line], oracle_limit=3)

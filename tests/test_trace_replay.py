@@ -51,7 +51,7 @@ def test_replay_matches_find_witness():
         build("cycle", 5),
         build("path", 6),
         build("wheel", 7),
-        rowspace.families.rank5_catalog_graph(3),
+        build("rank5-3"),
         octahedron(rowspace),
         co_c7(rowspace),
     ]
