@@ -30,9 +30,18 @@ class MembershipCertificate:
     target: tuple[int, ...]
 
 
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def adjacency_matrix(g: Graph) -> list[list[int]]:
-    """Symmetric 0/1 integer rows with zero diagonal, in the graph's vertex order."""
-    return [[(nb >> j) & 1 for j in range(g.n)] for nb in g.adj]
+    """Symmetric 0/1 integer rows with zero diagonal, in the graph's vertex order.
+
+    Each row is its neighbour mask as an n-digit binary string, reversed so
+    that vertex 0 comes first, with the digits translated to the bytes 0 and
+    1; listing the bytes gives the ints.
+    """
+    fmt = f"0{g.n}b"
+    return [list(format(nb, fmt)[::-1].encode().translate(_BITS)) for nb in g.adj]
 
 
 def _width(rows: Sequence[Sequence[int]]) -> int:
@@ -49,11 +58,20 @@ def integer_row_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]],
     input, so they stay integral and growth is polynomial. The pivot is the
     first nonzero entry in column scan order, which makes the result
     deterministic. Returns the nonzero echelon rows and their pivot columns;
-    the row space is preserved exactly.
+    the row space is preserved exactly. Ragged rows raise ValueError.
+
+    A row with a zero in the pivot column is not rescaled by pivot/prev at
+    that step. ``since[i]`` is the pivot of the step that last rewrote row
+    i (1 at the start); the skipped factors telescope, so the row's Bareiss
+    value is ``row * prev // since[i]``, exactly, being a row of minors. The
+    factor is applied when the row is next used: as the pivot row, or folded
+    into the division of its next update. The returned rows, all pivot rows,
+    are the lockstep elimination's rows entry for entry.
     """
+    ncols = _width(rows)
     work = [list(r) for r in rows]
     nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
+    since = [1] * nrows
     piv_r = 0
     prev = 1
     pivot_cols: list[int] = []
@@ -62,31 +80,26 @@ def integer_row_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]],
         if pr is None:
             continue
         work[piv_r], work[pr] = work[pr], work[piv_r]
+        since[piv_r], since[pr] = since[pr], since[piv_r]
         pivot_row = work[piv_r]
+        d = since[piv_r]
+        if d != prev:
+            pivot_row[piv_c:] = [a * prev // d for a in pivot_row[piv_c:]]
         pivot = pivot_row[piv_c]
         tail = pivot_row[piv_c + 1 :]
-        # The update is applied to every row below the pivot, including rows
-        # with a zero in the pivot column: the exactness of the division by
-        # the previous pivot needs all rows advanced in lockstep.
         for i in range(piv_r + 1, nrows):
             ri = work[i]
             fi = ri[piv_c]
-            head = ri[:piv_c]  # already zero left of the pivot column
-            # The fast paths (no division while prev == 1, skip fi == 0 when pivot == prev)
-            # stay: (pivot*a - fi*b) // prev on every row is 2.4x slower on corpus matrices.
-            if fi:
-                if prev == 1:
-                    body = [pivot * a - fi * b for a, b in zip(ri[piv_c + 1 :], tail)]
-                else:
-                    body = [
-                        (pivot * a - fi * b) // prev
-                        for a, b in zip(ri[piv_c + 1 :], tail)
-                    ]
-            elif pivot == prev:
+            if not fi:
                 continue
+            d = since[i]
+            # d == 1 (an untouched row, or one last rewritten by a pivot of 1): no division.
+            if d == 1:
+                ri[piv_c + 1 :] = [pivot * a - fi * b for a, b in zip(ri[piv_c + 1 :], tail)]
             else:
-                body = [pivot * a // prev for a in ri[piv_c + 1 :]]
-            work[i] = head + [0] + body
+                ri[piv_c + 1 :] = [(pivot * a - fi * b) // d for a, b in zip(ri[piv_c + 1 :], tail)]
+            ri[piv_c] = 0
+            since[i] = pivot
         prev = pivot
         pivot_cols.append(piv_c)
         piv_r += 1
@@ -97,7 +110,6 @@ def integer_row_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]],
 
 def rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank over the rationals: the pivot count of the integer echelon form."""
-    _width(rows)
     return len(integer_row_echelon(rows)[1])
 
 

@@ -63,15 +63,20 @@ def _reduces_to_zero(echelon: list[list[int]], pivots: list[int], x: list[int]) 
     return not any(y)
 
 
-def _scan(g: Graph, limit: int) -> Iterator[tuple[int, tuple[int, ...] | None]]:
-    """Every witness in ascending binary order, each with the number of
-    non-row candidates checked so far; a final ``(checked, None)`` carries
-    the total. Raises ValueError for a limit outside 0..MAX_ORACLE_LIMIT and
-    CapacityError for n above the limit, before any candidate is scanned."""
+def _adjacency_rows(g: Graph, limit: int) -> list[list[int]]:
+    """A(g) for a scan, once the bound allows it: ValueError for a limit
+    outside 0..MAX_ORACLE_LIMIT, CapacityError for n above the limit."""
     check_oracle_limit(limit)
     if g.n > limit:
         raise CapacityError(f"n={g.n} exceeds the oracle bound {limit}")
-    echelon, pivots = integer_row_echelon(adjacency_matrix(g))
+    return adjacency_matrix(g)
+
+
+def _scan(g: Graph, rows: list[list[int]]) -> Iterator[tuple[int, tuple[int, ...] | None]]:
+    """Every witness in ascending binary order, each with the number of
+    non-row candidates checked so far; a final ``(checked, None)`` carries
+    the total. ``rows`` is A(g) from ``_adjacency_rows``."""
+    echelon, pivots = integer_row_echelon(rows)
     row_masks = set(g.adj)
     checked = 0
     for mask in range(1, 1 << g.n):
@@ -86,10 +91,11 @@ def _scan(g: Graph, limit: int) -> Iterator[tuple[int, tuple[int, ...] | None]]:
 
 def brute_force_witness(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> OracleResult:
     """First witness in candidate scan order, with a solved certificate."""
-    checked, vector = next(_scan(g, limit))
+    rows = _adjacency_rows(g, limit)
+    checked, vector = next(_scan(g, rows))
     if vector is None:
         return OracleResult(None, checked)
-    cert = solve_membership(adjacency_matrix(g), vector)
+    cert = solve_membership(rows, vector)
     if cert is None:
         raise RuntimeError("echelon reduction and exact solve disagree")
     witness = Witness(vector, cert, Strategy.ORACLE)
@@ -98,7 +104,7 @@ def brute_force_witness(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> OracleRe
 
 def enumerate_all_witnesses(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> list[tuple[int, ...]]:
     """Every qualifying (0,1)-vector, in ascending binary order."""
-    return [x for _, x in _scan(g, limit) if x is not None]
+    return [x for _, x in _scan(g, _adjacency_rows(g, limit)) if x is not None]
 
 
 def _edge_pairs(n: int) -> list[tuple[int, int]]:

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import echelon_reference
 import fraction_reference as reference
 from conftest import connected_graphs, graphs
 from rowspace.families import build
@@ -41,12 +42,40 @@ def transpose(rows) -> list[list[int]]:
     return [list(col) for col in zip(*rows)]
 
 
+def every_graph(n: int):
+    """Every labeled graph on n vertices, edgeless and disconnected ones too."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for mask in range(1 << len(pairs)):
+        adj = [0] * n
+        for b, (i, j) in enumerate(pairs):
+            if (mask >> b) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        yield Graph(n, tuple(adj))
+
+
+def random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
+def augmented_system(rows, x) -> list[list[int]]:
+    """The system solve_membership eliminates: column i of rows, then x[i]."""
+    return [list(col) + [b] for col, b in zip(zip(*rows), x)]
+
+
 class TestIntegerRows:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             rank([[1, 2], [3]])
         with pytest.raises(ValueError):
             solve_membership([[1, 2], [3]], (1, 1))
+
+    @pytest.mark.parametrize("rows", [[[1], [3, 4]], [[1, 2], [3]]])
+    def test_echelon_rejects_ragged_rows(self, rows):
+        # a short second row was dropped silently, a short first row ran
+        # into an IndexError
+        with pytest.raises(ValueError, match="ragged rows"):
+            integer_row_echelon(rows)
 
     def test_transpose_round_trip(self):
         rows = [[1, 2, 3], [4, 5, 6]]
@@ -82,6 +111,15 @@ class TestAdjacencyMatrix:
 
     def test_edgeless_graph_is_zero_matrix(self):
         assert adjacency_matrix(Graph(3, (0, 0, 0))) == [[0, 0, 0]] * 3
+
+    def test_matches_bitwise_reference(self):
+        graphs = [g for n in range(1, 7) for g in every_graph(n)]
+        graphs += [Graph(40, (0,) * 40)]
+        graphs += [build(name, n) for name in ("path", "complete") for n in (64, 256)]
+        for g in graphs:
+            M = adjacency_matrix(g)
+            assert M == echelon_reference.adjacency_matrix(g), g.adj
+            assert all(type(e) is int for row in M for e in row)
 
 
 class TestRank:
@@ -252,3 +290,58 @@ class TestDifferentialAgainstFractionReference:
         M = adjacency_matrix(g)
         x = find_witness(g).vector
         assert solve_membership(M, x) == reference.solve_membership(M, x)
+
+
+class TestEchelonAgainstLockstepReference:
+    """Lazy rescaling must return the lockstep elimination's pivot rows and
+    pivot columns exactly: the certificate's denominator and numerators are
+    read off those rows."""
+
+    @staticmethod
+    def check(rows):
+        assert integer_row_echelon(rows) == echelon_reference.integer_row_echelon(rows), rows
+
+    @pytest.mark.slow
+    def test_every_graph_up_to_six_and_its_witness_system(self):
+        systems = 0
+        for n in range(1, 7):
+            for g in every_graph(n):
+                M = adjacency_matrix(g)
+                self.check(M)
+                if any(g.adj):
+                    self.check(augmented_system(M, find_witness(g).vector))
+                    systems += 1
+        assert systems == 33867 - 6
+
+    def test_named_and_random_graphs_to_sixty_four(self):
+        rng = random.Random(1968)
+        graphs = [build(name, n) for name in ("path", "cycle", "wheel", "complete") for n in (17, 24, 33, 48, 64)]
+        graphs += [random_graph(rng, n, p) for n in (17, 29, 41, 64) for p in (0.08, 0.3, 0.5, 0.9)]
+        for g in graphs:
+            M = adjacency_matrix(g)
+            self.check(M)
+            self.check(augmented_system(M, [rng.randint(0, 1) for _ in range(g.n)]))
+
+    def test_random_integer_matrices(self):
+        rng = random.Random(2204)
+        for _ in range(2000):
+            nrows, ncols = rng.randint(0, 9), rng.randint(0, 9)
+            rows = [[rng.randint(-50, 50) if rng.random() < 0.6 else 0 for _ in range(ncols)] for _ in range(nrows)]
+            if ncols and rng.random() < 0.3:
+                j = rng.randrange(ncols)
+                for row in rows:
+                    row[j] = 0
+            if nrows and rng.random() < 0.3:
+                rows[rng.randrange(nrows)] = [0] * ncols
+            self.check(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda ncols: st.lists(
+                st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols), max_size=8
+            )
+        )
+    )
+    def test_hypothesis_matrices(self, rows):
+        self.check(rows)
