@@ -14,7 +14,7 @@ from typing import IO, Callable
 from .families import FAMILY_NAMES, build
 from .graph import diameter
 from .graph6 import write_graph6
-from .harness import check_size_bound, run_verification
+from .harness import RANK_LIMIT, check_size_bound, run_verification
 from .linalg import adjacency_matrix, rank
 from .oracle import exhaustive_verify
 from .witness import DEFAULT_ORACLE_LIMIT, MAX_ORACLE_LIMIT
@@ -99,7 +99,10 @@ def _cmd_family(args: argparse.Namespace) -> int:
     print(f"order:    {g.n}")
     print(f"edges:    {g.size}")
     print(f"diameter: {'infinite' if diam is None else diam}")
-    print(f"rank:     {rank(adjacency_matrix(g))}")
+    if g.n <= RANK_LIMIT:
+        print(f"rank:     {rank(adjacency_matrix(g))}")
+    else:
+        print(f"rank:     skipped: n={g.n} exceeds the rank limit {RANK_LIMIT}")
     print(f"graph6:   {line}")
     return 0
 

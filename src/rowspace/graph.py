@@ -9,6 +9,13 @@ Distances come from one routine, ``diametral_geodesic``: an all-sources
 expansion of bitset balls that yields the diameter and a diametral
 geodesic together. ``None`` is the only way a distance routine says that a
 graph is disconnected.
+
+``Graph(n, adj)`` and ``Graph.from_edges`` validate their input. Builders
+whose output is valid by construction skip that check through the private
+``Graph._trusted``: ``induced_subgraph`` and ``multiply_vertices`` here
+(they read a graph that is already valid), ``graph6.parse_graph6`` (it
+sets the bit pairs i < j < n of the upper triangle) and
+``oracle._mask_graph`` (likewise, from an edge mask).
 """
 
 from __future__ import annotations
@@ -59,6 +66,16 @@ class Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return cls(n, tuple(adj))
+
+    @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...]) -> Graph:
+        """The graph (n, adj) without validation. Only for builders that
+        make it valid: n >= 1 and n symmetric, loop-free neighborhoods
+        inside 0..n-1 (see the module docstring)."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -165,6 +182,8 @@ def diametral_geodesic(g: Graph) -> tuple[int, ...] | None:
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     """Subgraph induced on ``vertices``, relabelled 0..k-1 in the given order."""
+    if not vertices:
+        raise ValueError("induced subgraph needs at least one vertex")
     index = {v: i for i, v in enumerate(vertices)}
     if len(index) != len(vertices):
         raise ValueError("duplicate vertex in induced subgraph")
@@ -176,7 +195,7 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
             j = index.get(w)
             if j is not None:
                 adj[i] |= 1 << j
-    return Graph(len(vertices), tuple(adj))
+    return Graph._trusted(len(vertices), tuple(adj))
 
 
 def _clone_blocks(g: Graph, m: Sequence[int]) -> list[range]:
@@ -203,7 +222,7 @@ def multiply_vertices(g: Graph, m: Sequence[int]) -> Graph:
     masks = [(1 << b.stop) - (1 << b.start) for b in blocks]
     # the blocks are disjoint, so a sum of their masks is their union
     rows = [sum(masks[j] for j in iter_bits(nb)) for nb in g.adj]
-    return Graph(blocks[-1].stop, tuple(row for row, b in zip(rows, blocks) for _ in b))
+    return Graph._trusted(blocks[-1].stop, tuple(row for row, b in zip(rows, blocks) for _ in b))
 
 
 def duplicate_vertex(g: Graph, v: int) -> Graph:

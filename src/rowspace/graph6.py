@@ -78,7 +78,7 @@ def parse_graph6(line: str) -> Graph:
             i += 1
             if i == j:
                 i, j = 0, j + 1
-    return Graph(n, tuple(adj))
+    return Graph._trusted(n, tuple(adj))
 
 
 def _encode_order(n: int) -> str:

@@ -5,7 +5,9 @@ binary order (the vector read as a little-endian integer), skips actual
 rows, and decides row-space membership by reducing the candidate against a
 row-echelon form of the adjacency matrix computed once per graph. This is
 the definitional search: whatever the constructive strategies claim must
-agree with it.
+agree with it. The first candidate is decided by the certificate solve
+alone: when it is a member, that solve is the whole search (no echelon, no
+scan), and when it is not, the scan runs from the start.
 
 ``exhaustive_verify`` runs the full engine (constructive strategies with
 oracle fallback at the default bound) over every labeled connected graph
@@ -90,8 +92,21 @@ def _scan(g: Graph, rows: list[list[int]]) -> Iterator[tuple[int, tuple[int, ...
 
 
 def brute_force_witness(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> OracleResult:
-    """First witness in candidate scan order, with a solved certificate."""
+    """First witness in candidate scan order, with a solved certificate.
+
+    The first candidate, the lowest mask that is not a row, is decided by
+    ``solve_membership`` itself: a certificate makes it the witness, one
+    candidate checked, with the certificate the scan-then-solve path would
+    solve for on the same inputs. Only when it is not a member do the
+    echelon and the scan run. Such a mask exists below 2^n, since g has at
+    most n distinct rows.
+    """
     rows = _adjacency_rows(g, limit)
+    first = next(mask for mask in range(1, 1 << g.n) if mask not in g.adj)
+    vector = tuple((first >> j) & 1 for j in range(g.n))
+    cert = solve_membership(rows, vector)
+    if cert is not None:
+        return OracleResult(Witness(vector, cert, Strategy.ORACLE), 1)
     checked, vector = next(_scan(g, rows))
     if vector is None:
         return OracleResult(None, checked)
@@ -127,7 +142,7 @@ def _mask_graph(n: int, mask: int, pairs: list[tuple[int, int]]) -> Graph | None
         adj[j] |= 1 << i
     if reachable(adj, 1) != (1 << n) - 1:
         return None
-    return Graph(n, tuple(adj))
+    return Graph._trusted(n, tuple(adj))
 
 
 def _connected_graphs(n: int, start: int, stop: int) -> Iterator[Graph]:

@@ -117,6 +117,19 @@ class ScanRecorder:
         return OracleResult(None, 0)
 
 
+def every_graph(n: int):
+    """Every labeled graph on n vertices, edgeless and disconnected ones too,
+    through the validating constructor."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for mask in range(1 << len(pairs)):
+        adj = [0] * n
+        for b, (i, j) in enumerate(pairs):
+            if (mask >> b) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        yield Graph(n, tuple(adj))
+
+
 @st.composite
 def graphs(draw, min_n: int = 1, max_n: int = 8, min_edges: int = 0):
     n = draw(st.integers(min_value=min_n, max_value=max_n))

@@ -102,6 +102,14 @@ class TestFamily:
         assert "order:    10" in out
         assert "rank:     10" in out
 
+    def test_rank_skipped_above_the_rank_limit(self, capsys):
+        # the cubic rank at n = 3000 took about 20 minutes
+        assert main(["family", "--name", "path", "--size", "300"]) == 0
+        out = capsys.readouterr().out
+        assert "order:    300" in out
+        assert "diameter: 299" in out
+        assert "rank:     skipped: n=300 exceeds the rank limit 256" in out
+
     def test_missing_size_is_an_error(self, capsys):
         assert main(["family", "--name", "cycle"]) == 2
         assert "error" in capsys.readouterr().err

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import diameter_oracle, graphs, connected_graphs, oracle_geodesic
+from conftest import (
+    connected_graphs,
+    diameter_oracle,
+    every_graph,
+    graphs,
+    multiplicities,
+    oracle_geodesic,
+)
 from rowspace.families import build, petersen
 from rowspace.graph import (
     Graph,
@@ -17,7 +24,8 @@ from rowspace.graph import (
     is_reduced,
     multiply_vertices,
 )
-from rowspace.oracle import iter_connected_graphs
+from rowspace.graph6 import parse_graph6, write_graph6
+from rowspace.oracle import _edge_pairs, _mask_graph, iter_connected_graphs
 
 
 def kneser_petersen() -> Graph:
@@ -53,6 +61,52 @@ class TestConstruction:
     def test_from_edges_bounds(self):
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(0, 3)])
+
+    @pytest.mark.parametrize("n, edges", [(3, [(1, 1)]), (3, [(-1, 2)]), (0, [])], ids=str)
+    def test_from_edges_rejects(self, n, edges):
+        with pytest.raises(ValueError):
+            Graph.from_edges(n, edges)
+
+
+def assert_valid(g: Graph) -> None:
+    """g passes the public validator and equals the graph it builds."""
+    assert Graph(g.n, g.adj) == g
+
+
+class TestTrustedBuilders:
+    """The builders that skip validation (Graph._trusted) only make graphs
+    the validating constructor accepts."""
+
+    def test_every_mask_graph_up_to_six(self):
+        yielded = 0
+        for n in range(1, 7):
+            pairs = _edge_pairs(n)
+            for mask in range(1 << len(pairs)):
+                g = _mask_graph(n, mask, pairs)
+                if g is not None:
+                    assert_valid(g)
+                    yielded += 1
+        # the single vertex (mask 0 at n = 1) and the connected graphs on 2..6
+        assert yielded == 1 + 1 + 4 + 38 + 728 + 26_704
+
+    def test_graph6_round_trip_up_to_five(self):
+        for n in range(1, 6):
+            for g in every_graph(n):
+                h = parse_graph6(write_graph6(g))
+                assert_valid(h)
+                assert h == g
+
+    @settings(max_examples=100)
+    @given(graphs(min_n=1, max_n=10), st.data())
+    def test_induced_subgraph(self, g, data):
+        vertices = data.draw(st.permutations(range(g.n)))
+        k = data.draw(st.integers(1, g.n))
+        assert_valid(induced_subgraph(g, vertices[:k]))
+
+    @settings(max_examples=100)
+    @given(graphs(min_n=1, max_n=8), st.data())
+    def test_multiply_vertices(self, g, data):
+        assert_valid(multiply_vertices(g, data.draw(multiplicities(g.n))))
 
 
 class TestDegree:
@@ -300,6 +354,10 @@ class TestComponents:
         g = build("cycle", 5)
         sub = induced_subgraph(g, [1, 2, 3])
         assert sub == build("path", 3)
+
+    def test_induced_subgraph_rejects_no_vertices(self):
+        with pytest.raises(ValueError):
+            induced_subgraph(build("path", 4), [])
 
     @pytest.mark.parametrize("vertices", [[-1, 3], [-1, 2], [0, 7]], ids=str)
     def test_induced_subgraph_rejects_out_of_range(self, vertices):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import echelon_reference
 import fraction_reference as reference
-from conftest import connected_graphs, graphs
+from conftest import connected_graphs, every_graph, graphs
 from rowspace.families import build
 from rowspace.graph import Graph, multiply_vertices
 from rowspace.linalg import (
@@ -40,18 +40,6 @@ def scaled_rows(rows) -> list[list[int]]:
 
 def transpose(rows) -> list[list[int]]:
     return [list(col) for col in zip(*rows)]
-
-
-def every_graph(n: int):
-    """Every labeled graph on n vertices, edgeless and disconnected ones too."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for mask in range(1 << len(pairs)):
-        adj = [0] * n
-        for b, (i, j) in enumerate(pairs):
-            if (mask >> b) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-        yield Graph(n, tuple(adj))
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

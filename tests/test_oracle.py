@@ -3,9 +3,10 @@ import os
 import pytest
 from hypothesis import given, settings
 
+import oracle_reference
 import rowspace.harness
 import rowspace.oracle
-from conftest import RecordingPool, graphs
+from conftest import RecordingPool, every_graph, graphs
 from rowspace.families import build
 from rowspace.graph import Graph
 from rowspace.oracle import (
@@ -68,6 +69,32 @@ class TestBruteForce:
             b.witness,
             b.candidates_checked,
         )
+
+
+class TestFirstCandidateSolve:
+    """brute_force_witness against the scan-then-solve search it replaced
+    (tests/oracle_reference.py): the same vector, candidate count and
+    certificate, whether the first candidate's solve settles the graph or
+    the scan runs."""
+
+    @pytest.mark.slow
+    def test_every_labeled_graph_up_to_six(self):
+        settled = fallbacks = 0
+        for n in range(1, 7):
+            for g in every_graph(n):
+                result = brute_force_witness(g)
+                assert result == oracle_reference.brute_force_witness(g), g
+                if result.found and result.candidates_checked == 1:
+                    settled += 1
+                else:
+                    fallbacks += 1
+        # 2^0 + 2^1 + 2^3 + 2^6 + 2^10 + 2^15 graphs, both paths well used
+        assert (settled, fallbacks) == (22_831, 11_036)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(min_n=1, max_n=12))
+    def test_random_graphs_up_to_twelve(self, g):
+        assert brute_force_witness(g) == oracle_reference.brute_force_witness(g)
 
 
 class TestEnumerate:
