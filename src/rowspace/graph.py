@@ -5,6 +5,10 @@ used as a bitset: bit j of ``adj[i]`` is set iff i and j are adjacent.
 Graphs are immutable after construction and every operation here is a pure
 function, so instances can be shared freely between worker processes.
 
+Bit positions come from ``iter_bits``: a mask below 256 (every
+neighbourhood of a graph on at most 8 vertices) is read from one table of
+256 tuples built at import, a larger mask bit by bit.
+
 Distances come from one routine, ``diametral_geodesic``: an all-sources
 expansion of bitset balls that yields the diameter and a diametral
 geodesic together. ``None`` is the only way a distance routine says that a
@@ -15,7 +19,8 @@ whose output is valid by construction skip that check through the private
 ``Graph._trusted``: ``induced_subgraph`` and ``multiply_vertices`` here
 (they read a graph that is already valid), ``graph6.parse_graph6`` (it
 sets the bit pairs i < j < n of the upper triangle) and
-``oracle._mask_graph`` (likewise, from an edge mask).
+``oracle._mask_graph`` (likewise, through the generator's byte tables of
+edge pairs).
 """
 
 from __future__ import annotations
@@ -25,8 +30,30 @@ from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 
+def _byte_bits() -> tuple[tuple[int, ...], ...]:
+    """The set bit positions of every byte value, in increasing order. The
+    values with bit b set are those below 2^b, each with b appended."""
+    table: tuple[tuple[int, ...], ...] = ((),)
+    for b in range(8):
+        table += tuple(bits + (b,) for bits in table)
+    return table
+
+
+_BYTE_BITS = _byte_bits()
+
+
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
+    """The set bit positions of ``mask`` in increasing order; ValueError
+    for a negative mask, which has infinitely many. A mask below 256 is
+    read from a table, a larger one bit by bit."""
+    if mask < 256:
+        if mask < 0:
+            raise ValueError(f"negative mask {mask} has infinitely many set bits")
+        return iter(_BYTE_BITS[mask])
+    return _low_bits(mask)
+
+
+def _low_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

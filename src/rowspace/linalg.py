@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .graph import Graph
@@ -30,18 +31,28 @@ class MembershipCertificate:
     target: tuple[int, ...]
 
 
+_ZERO = Fraction(0)
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def adjacency_matrix(g: Graph) -> list[list[int]]:
-    """Symmetric 0/1 integer rows with zero diagonal, in the graph's vertex order.
+def _bit_vector(mask: int, n: int) -> list[int]:
+    """The n-entry 0/1 vector whose entry v is bit v of ``mask``, n >= 1.
 
-    Each row is its neighbour mask as an n-digit binary string, reversed so
-    that vertex 0 comes first, with the digits translated to the bytes 0 and
-    1; listing the bytes gives the ints.
+    ``bin`` of the mask with a sentinel bit n set is "0b1" and the mask's n
+    binary digits; reversed and cut before the sentinel, bit 0 comes first.
+    The digits translate to the bytes 0 and 1, and listing the bytes gives
+    the ints. ValueError for a bit at or above n (the string would hold
+    more than n digits) or a negative mask.
     """
-    fmt = f"0{g.n}b"
-    return [list(format(nb, fmt)[::-1].encode().translate(_BITS)) for nb in g.adj]
+    if mask >> n:
+        raise ValueError(f"mask {mask} does not fit in {n} bits")
+    return list(bin(mask | 1 << n)[:2:-1].encode().translate(_BITS))
+
+
+def adjacency_matrix(g: Graph) -> list[list[int]]:
+    """Symmetric 0/1 integer rows with zero diagonal, in the graph's vertex
+    order: row v is the bit vector of v's neighbour mask."""
+    return [_bit_vector(nb, g.n) for nb in g.adj]
 
 
 def _width(rows: Sequence[Sequence[int]]) -> int:
@@ -76,8 +87,10 @@ def integer_row_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]],
     prev = 1
     pivot_cols: list[int] = []
     for piv_c in range(ncols):
-        pr = next((i for i in range(piv_r, nrows) if work[i][piv_c]), None)
-        if pr is None:
+        for pr in range(piv_r, nrows):
+            if work[pr][piv_c]:
+                break
+        else:
             continue
         work[piv_r], work[pr] = work[pr], work[piv_r]
         since[piv_r], since[pr] = since[pr], since[piv_r]
@@ -135,17 +148,17 @@ def solve_membership(rows: Sequence[Sequence[int]], x: Sequence[int]) -> Members
         return None
     denom = echelon[-1][pivots[-1]] if pivots else 1
     nums = [0] * ncoef
-    for r in range(len(pivots) - 1, -1, -1):
-        row = echelon[r]
-        s = denom * row[ncoef] - sum(row[pc] * nums[pc] for pc in pivots[r + 1 :])
-        nums[pivots[r]] = s // row[pivots[r]]
+    # Back-substitution from the last pivot: nums is still 0 at this pivot
+    # and at every free column, so the dot product from the pivot on sums
+    # exactly over the later pivots, which are solved.
+    for row, pc in zip(reversed(echelon), reversed(pivots)):
+        s = denom * row[ncoef] - sum(map(mul, row[pc:ncoef], nums[pc:]))
+        nums[pc] = s // row[pc]
     acc = [0] * ncols
     for num, row in zip(nums, rows):
         if num:
-            for j, a in enumerate(row):
-                if a:
-                    acc[j] += num * a
+            acc = [a + num * b for a, b in zip(acc, row)]
     if acc != [denom * b for b in target]:
         raise RuntimeError("certificate failed exact re-verification")
-    return MembershipCertificate(tuple(Fraction(num, denom) for num in nums), target)
+    return MembershipCertificate(tuple(Fraction(num, denom) if num else _ZERO for num in nums), target)
 

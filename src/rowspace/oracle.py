@@ -13,7 +13,10 @@ scan), and when it is not, the scan runs from the start.
 oracle fallback at the default bound) over every labeled connected graph
 with at least one edge on n vertices, recording any graph for which no
 witness exists. The labeled generator does not deduplicate isomorphs;
-redundancy only costs time at the supported sizes (n <= 7).
+redundancy only costs time at the supported sizes (n <= 7). It reads each
+edge mask's adjacency from byte tables, one per 8 edge pairs and built
+once per call: the OR of one entry per byte of the mask, packed one byte
+per vertex.
 """
 
 from __future__ import annotations
@@ -130,26 +133,49 @@ def _edge_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _mask_graph(n: int, mask: int, pairs: list[tuple[int, int]]) -> Graph | None:
-    """Graph for an edge-subset mask, or None if disconnected."""
-    adj = [0] * n
-    m = mask
-    while m:
-        low = m & -m
-        m ^= low
-        i, j = pairs[low.bit_length() - 1]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
+def _byte_tables(n: int) -> list[list[int]]:
+    """The adjacency of every edge subset, one table per 8 edge pairs.
+
+    Entry b of table k is the adjacency of the pairs 8k + t for the set
+    bits t of b, packed one byte per vertex (bit 8i + j is the edge ij),
+    which n <= GENERATOR_LIMIT < 8 allows. Each pair of a group doubles its
+    table: the entries so far, then each of them with the pair's edge. A
+    mask's adjacency is the OR of one entry per table. The last table is
+    partial when the pair count is not a multiple of 8, and n = 1 has no
+    pair and so no table.
+    """
+    pairs = _edge_pairs(n)
+    tables = []
+    for k in range(0, len(pairs), 8):
+        table = [0]
+        for i, j in pairs[k : k + 8]:
+            edge = 1 << (8 * i + j) | 1 << (8 * j + i)
+            table += [entry | edge for entry in table]
+        tables.append(table)
+    return tables
+
+
+def _mask_adjacency(n: int, tables: list[list[int]], mask: int) -> tuple[int, ...]:
+    """Neighborhoods of the edge subset ``mask``, from ``_byte_tables(n)``."""
+    packed = 0
+    for table in tables:
+        packed |= table[mask & 255]
+        mask >>= 8
+    return tuple(packed.to_bytes(n, "little"))
+
+
+def _mask_graph(n: int, adj: tuple[int, ...]) -> Graph | None:
+    """Graph of an edge subset's neighborhoods, or None if disconnected."""
     if reachable(adj, 1) != (1 << n) - 1:
         return None
-    return Graph._trusted(n, tuple(adj))
+    return Graph._trusted(n, adj)
 
 
 def _connected_graphs(n: int, start: int, stop: int) -> Iterator[Graph]:
     """Connected graphs of the edge-subset masks in [max(start, 1), stop)."""
-    pairs = _edge_pairs(n)
+    tables = _byte_tables(n)
     for mask in range(max(start, 1), stop):
-        g = _mask_graph(n, mask, pairs)
+        g = _mask_graph(n, _mask_adjacency(n, tables, mask))
         if g is not None:
             yield g
 

@@ -47,7 +47,7 @@ from .graph import (
     iter_bits,
     reachable,
 )
-from .linalg import MembershipCertificate
+from .linalg import MembershipCertificate, _bit_vector
 
 DEFAULT_ORACLE_LIMIT = 16
 #: Largest accepted oracle bound: the oracle scans 2^n candidates.
@@ -56,6 +56,7 @@ MAX_ORACLE_LIMIT = 20
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
+_BINARY = frozenset((0, 1))
 
 
 class Strategy(str, enum.Enum):
@@ -119,24 +120,29 @@ def verify_witness(g: Graph, w: Witness) -> bool:
     it and reproduces it exactly under A^t c, and it equals no row of A(g).
     With D the lcm of the coefficient denominators and p_u = D c_u, the
     product is checked as sum(p_u * A[u]) = D x by direct summation over the
-    adjacency bitsets, sharing no code with the solver.
+    adjacency bitsets, sharing no code with the solver. Each coefficient is
+    read once; a zero one adds nothing and has denominator 1.
     """
     x = w.vector
     c = w.certificate.coefficients
     if len(x) != g.n or len(c) != g.n:
         return False
-    if any(e not in (0, 1) for e in x) or not any(x):
+    if not _BINARY.issuperset(x) or 1 not in x:
         return False
     if tuple(w.certificate.target) != x:
         return False
-    denom = lcm(*(cu.denominator for cu in c))
+    terms = []
+    for nb, cu in zip(g.adj, c):
+        num = cu.numerator
+        if num:
+            terms.append((nb, num, cu.denominator))
+    denom = lcm(*(den for _, _, den in terms))
     acc = [0] * g.n
-    for u, cu in enumerate(c):
-        if cu:
-            p = cu.numerator * (denom // cu.denominator)
-            for v in iter_bits(g.adj[u]):
-                acc[v] += p
-    if any(acc[v] != denom * x[v] for v in range(g.n)):
+    for nb, num, den in terms:
+        p = num * (denom // den)
+        for v in iter_bits(nb):
+            acc[v] += p
+    if acc != [denom * e for e in x]:
         return False
     return sum(1 << v for v, e in enumerate(x) if e) not in g.adj
 
@@ -151,10 +157,9 @@ def witness_complete(g: Graph) -> StrategyOutcome:
 def _row_pair_sum(g: Graph, i: int, j: int, strategy: Strategy) -> StrategyOutcome:
     """Witness R_i + R_j with coefficient 1 on rows i and j; the caller has
     shown that the sum is 0/1-valued and equals no row."""
-    mask = g.adj[i] | g.adj[j]
     coeffs = [_ZERO] * g.n
     coeffs[i] = coeffs[j] = _ONE
-    return StrategyOutcome(_witness(((mask >> v) & 1 for v in range(g.n)), coeffs, strategy))
+    return StrategyOutcome(_witness(_bit_vector(g.adj[i] | g.adj[j], g.n), coeffs, strategy))
 
 
 def witness_disjoint_nbhd(g: Graph) -> StrategyOutcome:

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from itertools import combinations
 
@@ -22,10 +23,17 @@ from rowspace.graph import (
     find_adjacent_disjoint_pair,
     induced_subgraph,
     is_reduced,
+    iter_bits,
     multiply_vertices,
 )
 from rowspace.graph6 import parse_graph6, write_graph6
-from rowspace.oracle import _edge_pairs, _mask_graph, iter_connected_graphs
+from rowspace.oracle import (
+    _byte_tables,
+    _edge_pairs,
+    _mask_adjacency,
+    _mask_graph,
+    iter_connected_graphs,
+)
 
 
 def kneser_petersen() -> Graph:
@@ -80,9 +88,9 @@ class TestTrustedBuilders:
     def test_every_mask_graph_up_to_six(self):
         yielded = 0
         for n in range(1, 7):
-            pairs = _edge_pairs(n)
-            for mask in range(1 << len(pairs)):
-                g = _mask_graph(n, mask, pairs)
+            tables = _byte_tables(n)
+            for mask in range(1 << len(_edge_pairs(n))):
+                g = _mask_graph(n, _mask_adjacency(n, tables, mask))
                 if g is not None:
                     assert_valid(g)
                     yielded += 1
@@ -107,6 +115,59 @@ class TestTrustedBuilders:
     @given(graphs(min_n=1, max_n=8), st.data())
     def test_multiply_vertices(self, g, data):
         assert_valid(multiply_vertices(g, data.draw(multiplicities(g.n))))
+
+
+class TestByteTables:
+    """The sweep generator's per-byte edge tables give every edge mask the
+    adjacency that Graph.from_edges builds from the mask's pairs."""
+
+    @staticmethod
+    def assert_from_edges(n, tables, mask):
+        pairs = [p for k, p in enumerate(_edge_pairs(n)) if mask >> k & 1]
+        assert _mask_adjacency(n, tables, mask) == Graph.from_edges(n, pairs).adj, (n, mask)
+
+    def test_every_mask_up_to_six(self):
+        for n in range(1, 7):
+            tables = _byte_tables(n)
+            for mask in range(1 << len(_edge_pairs(n))):
+                self.assert_from_edges(n, tables, mask)
+
+    def test_seeded_masks_on_seven(self):
+        # 21 pairs: two full tables and a partial one of 5 pairs
+        tables = _byte_tables(7)
+        assert [len(t) for t in tables] == [256, 256, 32]
+        rng = random.Random(7)
+        for mask in [0, (1 << 21) - 1] + [rng.getrandbits(21) for _ in range(2000)]:
+            self.assert_from_edges(7, tables, mask)
+
+
+def low_bits(mask: int) -> list[int]:
+    """The plain low-bit loop that iter_bits must agree with."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
+class TestIterBits:
+    def test_every_mask_below_4096(self):
+        for mask in range(1 << 12):
+            assert list(iter_bits(mask)) == low_bits(mask), mask
+
+    def test_seeded_masks_up_to_300_bits(self):
+        rng = random.Random(300)
+        for width in range(1, 301):
+            mask = rng.getrandbits(width) | 1 << (width - 1)
+            assert list(iter_bits(mask)) == low_bits(mask), mask
+
+    @pytest.mark.parametrize("mask", [-1, -2, -255, -256, -257, -(1 << 300)])
+    def test_negative_mask_raises(self, mask):
+        # a negative mask has infinitely many set bits: the low-bit loop
+        # never ended on one, and a table would index it from the end
+        with pytest.raises(ValueError, match="negative mask"):
+            iter_bits(mask)
 
 
 class TestDegree:

@@ -13,6 +13,7 @@ from conftest import connected_graphs, every_graph, graphs
 from rowspace.families import build
 from rowspace.graph import Graph, multiply_vertices
 from rowspace.linalg import (
+    _bit_vector,
     adjacency_matrix,
     integer_row_echelon,
     rank,
@@ -108,6 +109,23 @@ class TestAdjacencyMatrix:
             M = adjacency_matrix(g)
             assert M == echelon_reference.adjacency_matrix(g), g.adj
             assert all(type(e) is int for row in M for e in row)
+
+
+class TestBitVector:
+    def test_matches_shifts(self):
+        rng = random.Random(70)
+        for n in range(1, 71):
+            masks = [0, 1, 1 << (n - 1), (1 << n) - 1] + [rng.getrandbits(n) for _ in range(30)]
+            for mask in masks:
+                v = _bit_vector(mask, n)
+                assert tuple(v) == tuple((mask >> k) & 1 for k in range(n)), (n, mask)
+                assert all(type(e) is int for e in v)
+
+    @pytest.mark.parametrize("mask, n", [(2, 1), (8, 3), (15, 3), (1 << 64, 64), (-1, 5)], ids=str)
+    def test_refuses_a_bit_at_or_above_n(self, mask, n):
+        # the bit string would hold more than n digits (or a minus sign)
+        with pytest.raises(ValueError, match="does not fit"):
+            _bit_vector(mask, n)
 
 
 class TestRank:

@@ -477,6 +477,12 @@ class TestVerifyWitness:
         cert = MembershipCertificate((Fraction(0),) * 3, (0, 0, 0))
         assert not verify_witness(g, Witness((0, 0, 0), cert, Strategy.ORACLE))
 
+    def test_rejects_zero_certificate(self):
+        # every coefficient is zero, so no term is summed and D is 1
+        g = build("complete", 3)
+        cert = MembershipCertificate((Fraction(0),) * 3, (1, 1, 1))
+        assert not verify_witness(g, Witness((1, 1, 1), cert, Strategy.ORACLE))
+
     def test_rejects_actual_row(self):
         g = build("complete", 3)
         cert = MembershipCertificate((Fraction(1), Fraction(0), Fraction(0)), (0, 1, 1))
