@@ -14,8 +14,7 @@ from typing import IO, Callable
 from .families import FAMILY_NAMES, build
 from .graph import diameter
 from .graph6 import write_graph6
-from .harness import RANK_LIMIT, check_size_bound, run_verification
-from .linalg import adjacency_matrix, rank
+from .harness import RANK_LIMIT, bounded_rank, check_size_bound, run_verification
 from .oracle import exhaustive_verify
 from .witness import DEFAULT_ORACLE_LIMIT, MAX_ORACLE_LIMIT
 
@@ -99,10 +98,9 @@ def _cmd_family(args: argparse.Namespace) -> int:
     print(f"order:    {g.n}")
     print(f"edges:    {g.size}")
     print(f"diameter: {'infinite' if diam is None else diam}")
-    if g.n <= RANK_LIMIT:
-        print(f"rank:     {rank(adjacency_matrix(g))}")
-    else:
-        print(f"rank:     skipped: n={g.n} exceeds the rank limit {RANK_LIMIT}")
+    r = bounded_rank(g)
+    skipped = f"skipped: n={g.n} exceeds the rank limit {RANK_LIMIT}"
+    print(f"rank:     {skipped if r is None else r}")
     print(f"graph6:   {line}")
     return 0
 

@@ -19,8 +19,8 @@ whose output is valid by construction skip that check through the private
 ``Graph._trusted``: ``induced_subgraph`` and ``multiply_vertices`` here
 (they read a graph that is already valid), ``graph6.parse_graph6`` (it
 sets the bit pairs i < j < n of the upper triangle) and
-``oracle._mask_graph`` (likewise, through the generator's byte tables of
-edge pairs).
+``oracle._connected_graphs`` (likewise, flipping the edges of the
+generator's pairs i < j < n).
 """
 
 from __future__ import annotations

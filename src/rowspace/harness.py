@@ -25,7 +25,7 @@ from fractions import Fraction
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator
 
-from .graph import diameter
+from .graph import Graph, diameter
 from .graph6 import OPTIONAL_HEADER, Graph6ParseError, parse_graph6
 from .linalg import adjacency_matrix, rank
 from .witness import DEFAULT_ORACLE_LIMIT, check_oracle_limit, find_witness, oracle_declines
@@ -34,6 +34,11 @@ from .witness import DEFAULT_ORACLE_LIMIT, check_oracle_limit, find_witness, ora
 #: does n^3 steps on entries that grow with n, so one larger line could
 #: stall a batch for minutes; a record above this has no ``rank`` key.
 RANK_LIMIT = 256
+
+
+def bounded_rank(g: Graph) -> int | None:
+    """The rank of A(g), or None when n exceeds RANK_LIMIT."""
+    return rank(adjacency_matrix(g)) if g.n <= RANK_LIMIT else None
 
 
 def worker_count(jobs: int) -> int:
@@ -149,7 +154,7 @@ def _verify_graph(line: str, oracle_limit: int) -> VerificationRecord:
         n=g.n,
         edges=g.size,
         diameter=diameter(g),
-        rank=rank(adjacency_matrix(g)) if g.n <= RANK_LIMIT else None,
+        rank=bounded_rank(g),
     )
     if g.size == 0:
         record.status = "skipped"

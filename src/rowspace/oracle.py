@@ -13,10 +13,9 @@ scan), and when it is not, the scan runs from the start.
 oracle fallback at the default bound) over every labeled connected graph
 with at least one edge on n vertices, recording any graph for which no
 witness exists. The labeled generator does not deduplicate isomorphs;
-redundancy only costs time at the supported sizes (n <= 7). It reads each
-edge mask's adjacency from byte tables, one per 8 edge pairs and built
-once per call: the OR of one entry per byte of the mask, packed one byte
-per vertex.
+redundancy only costs time at the supported sizes (n <= 7). It walks the
+edge masks in ascending order as a binary counter, flipping the edges of
+the bits that change in one adjacency list.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Iterator
 from .graph import Graph, reachable
 from .graph6 import write_graph6
 from .harness import parallel_map, worker_count
-from .linalg import adjacency_matrix, integer_row_echelon, solve_membership
+from .linalg import _bit_vector, adjacency_matrix, integer_row_echelon, solve_membership
 from .witness import DEFAULT_ORACLE_LIMIT, Strategy, Witness, check_oracle_limit, find_witness
 
 GENERATOR_LIMIT = 7
@@ -106,7 +105,7 @@ def brute_force_witness(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> OracleRe
     """
     rows = _adjacency_rows(g, limit)
     first = next(mask for mask in range(1, 1 << g.n) if mask not in g.adj)
-    vector = tuple((first >> j) & 1 for j in range(g.n))
+    vector = tuple(_bit_vector(first, g.n))
     cert = solve_membership(rows, vector)
     if cert is not None:
         return OracleResult(Witness(vector, cert, Strategy.ORACLE), 1)
@@ -133,51 +132,26 @@ def _edge_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _byte_tables(n: int) -> list[list[int]]:
-    """The adjacency of every edge subset, one table per 8 edge pairs.
+def _connected_graphs(n: int, start: int, stop: int) -> Iterator[Graph]:
+    """Connected graphs of the edge-subset masks in [max(start, 1), stop).
 
-    Entry b of table k is the adjacency of the pairs 8k + t for the set
-    bits t of b, packed one byte per vertex (bit 8i + j is the edge ij),
-    which n <= GENERATOR_LIMIT < 8 allows. Each pair of a group doubles its
-    table: the entries so far, then each of them with the pair's edge. A
-    mask's adjacency is the OR of one entry per table. The last table is
-    partial when the pair count is not a multiple of 8, and n = 1 has no
-    pair and so no table.
+    A binary counter: going from mask - 1 to mask flips the bits of
+    mask ^ (mask - 1), two on average, so one adjacency list, built for the
+    mask before the first, follows the walk by flipping their pairs' edges.
     """
     pairs = _edge_pairs(n)
-    tables = []
-    for k in range(0, len(pairs), 8):
-        table = [0]
-        for i, j in pairs[k : k + 8]:
-            edge = 1 << (8 * i + j) | 1 << (8 * j + i)
-            table += [entry | edge for entry in table]
-        tables.append(table)
-    return tables
-
-
-def _mask_adjacency(n: int, tables: list[list[int]], mask: int) -> tuple[int, ...]:
-    """Neighborhoods of the edge subset ``mask``, from ``_byte_tables(n)``."""
-    packed = 0
-    for table in tables:
-        packed |= table[mask & 255]
-        mask >>= 8
-    return tuple(packed.to_bytes(n, "little"))
-
-
-def _mask_graph(n: int, adj: tuple[int, ...]) -> Graph | None:
-    """Graph of an edge subset's neighborhoods, or None if disconnected."""
-    if reachable(adj, 1) != (1 << n) - 1:
-        return None
-    return Graph._trusted(n, adj)
-
-
-def _connected_graphs(n: int, start: int, stop: int) -> Iterator[Graph]:
-    """Connected graphs of the edge-subset masks in [max(start, 1), stop)."""
-    tables = _byte_tables(n)
-    for mask in range(max(start, 1), stop):
-        g = _mask_graph(n, _mask_adjacency(n, tables, mask))
-        if g is not None:
-            yield g
+    start = max(start, 1)
+    adj = [0] * n
+    for k, (i, j) in enumerate(pairs):
+        if (start - 1) >> k & 1:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    for mask in range(start, stop):
+        for i, j in pairs[: (mask & -mask).bit_length()]:
+            adj[i] ^= 1 << j
+            adj[j] ^= 1 << i
+        if reachable(adj, 1) == (1 << n) - 1:
+            yield Graph._trusted(n, tuple(adj))
 
 
 def iter_connected_graphs(n: int) -> Iterator[Graph]:

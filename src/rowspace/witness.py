@@ -105,8 +105,10 @@ def oracle_declines(g: Graph, limit: int) -> str | None:
     first component of g with an edge; its order, the number of twin
     classes of that component, comes from the helpers the search descends
     through. Only when the oracle scans is a None from ``find_witness`` a
-    proof that no witness exists. ValueError if g has no edge.
+    proof that no witness exists. ValueError if g has no edge or if
+    ``limit`` lies outside 0..MAX_ORACLE_LIMIT.
     """
+    check_oracle_limit(limit)
     n = len(_twin_classes(g, _component(g)))
     if n > limit:
         return f"no constructive strategy applied and n={n} exceeds the oracle bound {limit}"

@@ -27,13 +27,7 @@ from rowspace.graph import (
     multiply_vertices,
 )
 from rowspace.graph6 import parse_graph6, write_graph6
-from rowspace.oracle import (
-    _byte_tables,
-    _edge_pairs,
-    _mask_adjacency,
-    _mask_graph,
-    iter_connected_graphs,
-)
+from rowspace.oracle import _connected_graphs, _edge_pairs, iter_connected_graphs
 
 
 def kneser_petersen() -> Graph:
@@ -88,14 +82,12 @@ class TestTrustedBuilders:
     def test_every_mask_graph_up_to_six(self):
         yielded = 0
         for n in range(1, 7):
-            tables = _byte_tables(n)
-            for mask in range(1 << len(_edge_pairs(n))):
-                g = _mask_graph(n, _mask_adjacency(n, tables, mask))
-                if g is not None:
-                    assert_valid(g)
-                    yielded += 1
-        # the single vertex (mask 0 at n = 1) and the connected graphs on 2..6
-        assert yielded == 1 + 1 + 4 + 38 + 728 + 26_704
+            for g in iter_connected_graphs(n):
+                assert_valid(g)
+                yielded += 1
+        # the connected graphs on 2..6: the generator never yields mask 0,
+        # so the single vertex is not among them
+        assert yielded == 1 + 4 + 38 + 728 + 26_704
 
     def test_graph6_round_trip_up_to_five(self):
         for n in range(1, 6):
@@ -117,28 +109,49 @@ class TestTrustedBuilders:
         assert_valid(multiply_vertices(g, data.draw(multiplicities(g.n))))
 
 
-class TestByteTables:
-    """The sweep generator's per-byte edge tables give every edge mask the
-    adjacency that Graph.from_edges builds from the mask's pairs."""
+def mask_graphs(n: int, start: int, stop: int) -> list[Graph]:
+    """The connected graphs of Graph.from_edges over the pairs of each
+    mask in [max(start, 1), stop), connectivity read from the diameter."""
+    pairs = _edge_pairs(n)
+    out = []
+    for mask in range(max(start, 1), stop):
+        g = Graph.from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+        if diameter(g) is not None:
+            out.append(g)
+    return out
 
-    @staticmethod
-    def assert_from_edges(n, tables, mask):
-        pairs = [p for k, p in enumerate(_edge_pairs(n)) if mask >> k & 1]
-        assert _mask_adjacency(n, tables, mask) == Graph.from_edges(n, pairs).adj, (n, mask)
 
-    def test_every_mask_up_to_six(self):
+class TestMaskWalk:
+    """The sweep generator walks the edge masks as a binary counter, so a
+    chunk is right only if its walk starts from the right adjacency: every
+    chunking gives the graphs Graph.from_edges builds, in mask order."""
+
+    def test_every_chunking_up_to_six(self):
         for n in range(1, 7):
-            tables = _byte_tables(n)
-            for mask in range(1 << len(_edge_pairs(n))):
-                self.assert_from_edges(n, tables, mask)
+            total = 1 << len(_edge_pairs(n))
+            expected = mask_graphs(n, 0, total)
+            for chunks in (1, 2, 3, 16, 17, 64):
+                bounds = [total * k // chunks for k in range(chunks + 1)]
+                walked = [
+                    g for a, b in zip(bounds, bounds[1:]) for g in _connected_graphs(n, a, b)
+                ]
+                assert walked == expected, (n, chunks)
 
-    def test_seeded_masks_on_seven(self):
-        # 21 pairs: two full tables and a partial one of 5 pairs
-        tables = _byte_tables(7)
-        assert [len(t) for t in tables] == [256, 256, 32]
+    def test_seeded_windows_on_seven(self):
+        total = 1 << 21
         rng = random.Random(7)
-        for mask in [0, (1 << 21) - 1] + [rng.getrandbits(21) for _ in range(2000)]:
-            self.assert_from_edges(7, tables, mask)
+        windows = [(0, 300), (1, 300), (1 << 20, (1 << 20) + 300), (total - 300, total)]
+        windows += [(1 << b, (1 << b) + 40) for b in range(1, 21, 3)]
+        for _ in range(12):
+            start = rng.randrange(total)
+            windows.append((start, min(total, start + rng.randrange(1, 300))))
+            odd = rng.randrange(1, total, 2)
+            windows.append((odd, min(total, odd + rng.randrange(1, 300))))
+        for start, stop in windows:
+            assert list(_connected_graphs(7, start, stop)) == mask_graphs(7, start, stop), (
+                start,
+                stop,
+            )
 
 
 def low_bits(mask: int) -> list[int]:

@@ -132,6 +132,15 @@ class TestRunVerification:
         assert above.status == "ok" and above.reason is None
         assert "rank" not in above.to_json()
 
+    def test_family_reads_rank_through_the_harness(self, monkeypatch, capsys):
+        # one owner of the rank rule, calling the names a tracer swaps
+        calls = []
+        monkeypatch.setattr(rowspace.harness, "rank", lambda rows: calls.append(len(rows)) or -1)
+        [record] = run_verification([write_graph6(build("cycle", 5))])
+        assert main(["family", "--name", "cycle", "--size", "5"]) == 0
+        assert "rank:     -1" in capsys.readouterr().out
+        assert record.rank == -1 and calls == [5, 5]
+
     def test_unresolved_reasons_are_pinned(self, monkeypatch):
         line = write_graph6(co_c7())
         [record] = run_verification([line], oracle_limit=3)

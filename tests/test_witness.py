@@ -330,9 +330,12 @@ class TestFindWitness:
 
     @pytest.mark.parametrize("limit", [-1, MAX_ORACLE_LIMIT + 1])
     def test_oracle_limit_out_of_range(self, limit):
-        # -1 used to turn the oracle off without a word
+        # -1 used to turn the oracle off without a word, and oracle_declines
+        # used to accept any bound (None for 99: a claim that it scans)
         with pytest.raises(ValueError, match=f"outside 0..{MAX_ORACLE_LIMIT}"):
             find_witness(build("path", 3), oracle_limit=limit)
+        with pytest.raises(ValueError, match=f"outside 0..{MAX_ORACLE_LIMIT}"):
+            oracle_declines(co_c7(), limit)
 
     def test_oracle_declines(self):
         # judged on the graph the search ends on (see TestSearchEnd)
