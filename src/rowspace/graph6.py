@@ -1,15 +1,16 @@
 """Bit-exact graph6 encoding and decoding.
 
-graph6 packs the upper triangle of the adjacency matrix in column-major
-order -- (0,1), (0,2), (1,2), (0,3), ... -- into 6-bit groups, most
-significant bit first, zero-padded, each group printed as its value plus
-63. The vertex count precedes the bits: one byte for n <= 62, '~' plus
-three bytes (18 bits) up to 258047, '~~' plus six bytes (36 bits) beyond.
+graph6 writes the upper triangle of the adjacency matrix as one bit string
+in column-major order -- (0,1), (0,2), (1,2), (0,3), ... -- so column j,
+the pairs (i, j) with i < j, starts at bit j(j-1)/2. The string is
+zero-padded to 6-bit groups, each printed most significant bit first as its
+value plus 63. The vertex count precedes the bits: one byte for n <= 62,
+'~' plus three bytes (18 bits) up to 258047, '~~' plus six bytes beyond.
 """
 
 from __future__ import annotations
 
-from .graph import Graph
+from .graph import Graph, iter_bits
 
 #: The vertex-count forms: entry k is the largest n of the form with k
 #: leading '~', and its count of 6-bit digits. The long form stops at
@@ -17,6 +18,10 @@ from .graph import Graph
 _ORDER_FORMS = ((62, 1), (258047, 3), (68719476735, 6))
 
 OPTIONAL_HEADER = ">>graph6<<"
+
+#: The six binary digits of each character value, and back to the character.
+_DIGITS = [format(value, "06b") for value in range(64)]
+_CHARS = {digits: chr(63 + value) for value, digits in enumerate(_DIGITS)}
 
 
 class Graph6ParseError(ValueError):
@@ -49,35 +54,28 @@ def _parse_order(line: str) -> tuple[int, int]:
 
 
 def parse_graph6(line: str) -> Graph:
-    """Decode one graph6 line into a labeled graph."""
+    """Decode one graph6 line into a labeled graph. The length checks come
+    first, so a huge header on a short line allocates nothing."""
     if not line:
         raise Graph6ParseError("empty graph6 line", 0)
     n, data_start = _parse_order(line)
     if n < 1:
         raise Graph6ParseError("graph6 line encodes a graph with no vertices", 0)
     nbits = n * (n - 1) // 2
-    nchars = (nbits + 5) // 6
-    if len(line) > data_start + nchars:
-        raise Graph6ParseError("trailing garbage after graph6 data", data_start + nchars)
-    if len(line) < data_start + nchars:
+    data_end = data_start + (nbits + 5) // 6
+    if len(line) > data_end:
+        raise Graph6ParseError("trailing garbage after graph6 data", data_end)
+    if len(line) < data_end:
         raise Graph6ParseError("truncated graph6 line", len(line))
+    bits = "".join([_DIGITS[_char_value(line, pos)] for pos in range(data_start, data_end)])
+    if "1" in bits[nbits:]:  # the padding, all in the last byte
+        raise Graph6ParseError("nonzero padding bits", data_end - 1)
+    pairs = int(bits[nbits - 1 :: -1] or "0", 2)  # bit k is pair k
     adj = [0] * n
-    bit_index = 0
-    i, j = 0, 1
-    for k in range(nchars):
-        group = _char_value(line, data_start + k)
-        for shift in (5, 4, 3, 2, 1, 0):
-            if bit_index == nbits:
-                if (group >> shift) & 1:
-                    raise Graph6ParseError("nonzero padding bits", data_start + k)
-                continue
-            if (group >> shift) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            bit_index += 1
-            i += 1
-            if i == j:
-                i, j = 0, j + 1
+    for j in range(1, n):
+        adj[j] = pairs >> (j * (j - 1) // 2) & ((1 << j) - 1)
+        for i in iter_bits(adj[j]):
+            adj[i] |= 1 << j
     return Graph._trusted(n, tuple(adj))
 
 
@@ -90,19 +88,9 @@ def _encode_order(n: int) -> str:
 
 
 def write_graph6(g: Graph) -> str:
-    """Encode a labeled graph as one graph6 line (no trailing newline)."""
-    out = [_encode_order(g.n)]
-    group = 0
-    filled = 0
-    for j in range(1, g.n):
-        column = g.adj[j]
-        for i in range(j):
-            group = (group << 1) | ((column >> i) & 1)
-            filled += 1
-            if filled == 6:
-                out.append(chr(63 + group))
-                group = 0
-                filled = 0
-    if filled:
-        out.append(chr(63 + (group << (6 - filled))))
-    return "".join(out)
+    """Encode a labeled graph as one graph6 line (no trailing newline).
+    Column j is j's lower neighbours in ``linalg._bit_vector``'s idiom."""
+    order = _encode_order(g.n)
+    bits = "".join([bin(g.adj[j] & ((1 << j) - 1) | 1 << j)[:2:-1] for j in range(1, g.n)])
+    bits += "0" * (-len(bits) % 6)
+    return order + "".join([_CHARS[bits[k : k + 6]] for k in range(0, len(bits), 6)])

@@ -87,7 +87,7 @@ def _scan(g: Graph, rows: list[list[int]]) -> Iterator[tuple[int, tuple[int, ...
         if mask in row_masks:
             continue
         checked += 1
-        x = [(mask >> j) & 1 for j in range(g.n)]
+        x = _bit_vector(mask, g.n)
         if _reduces_to_zero(echelon, pivots, x):
             yield checked, tuple(x)
     yield checked, None
@@ -125,6 +125,8 @@ def enumerate_all_witnesses(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> list
 
 
 def _edge_pairs(n: int) -> list[tuple[int, int]]:
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n > GENERATOR_LIMIT:
         raise CapacityError(
             f"built-in generator covers n <= {GENERATOR_LIMIT}; feed graph6 input instead"
@@ -186,8 +188,6 @@ def exhaustive_verify(n: int, jobs: int = 1) -> ExhaustiveReport:
     on up to ``jobs`` processes, or in this process when one worker is
     left; the partial reports are merged in chunk order.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     total = 1 << len(_edge_pairs(n))
     jobs = worker_count(jobs)
     nchunks = min(total, jobs * 16)

@@ -1,3 +1,4 @@
+import collections
 import random
 import tracemalloc
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graph6_reference as reference
 from conftest import graphs
-from rowspace.families import FAMILY_NAMES, build
+from rowspace.families import _PARAMETRIC, FAMILY_NAMES, build
 from rowspace.graph import Graph
 from rowspace.graph6 import (
     Graph6ParseError,
@@ -67,14 +69,16 @@ class TestParse:
         assert excinfo.value.offset == 2
 
     def test_byte_out_of_range(self):
-        with pytest.raises(Graph6ParseError):
+        with pytest.raises(Graph6ParseError) as excinfo:
             parse_graph6("C" + chr(200))
+        assert excinfo.value.offset == 1
 
     def test_nonzero_padding(self):
         # n=2 uses one data bit; the remaining five must be zero
         assert parse_graph6("A_").size == 1
-        with pytest.raises(Graph6ParseError):
+        with pytest.raises(Graph6ParseError) as excinfo:
             parse_graph6("AO")
+        assert excinfo.value.offset == 1
 
 
 class TestWrite:
@@ -190,3 +194,64 @@ class TestFuzz:
             elif pos < len(line):
                 del line[pos]
             assert_graph_or_located_error("".join(line))
+
+
+def parse_outcome(parse, line: str):
+    """The graph, or the message and offset of the parse error."""
+    try:
+        return parse(line)
+    except Graph6ParseError as exc:
+        return str(exc), exc.offset
+
+
+class TestReferenceDifferential:
+    """The one-bit-string codec against the bit-by-bit reference."""
+
+    def test_parse_matches_reference(self):
+        rng = random.Random(18)
+        chars = TestFuzz.GRAPH6_CHARS + TestFuzz.OTHER_CHARS
+        outcomes = collections.Counter()
+        for trial in range(10_000):
+            prefix = rng.choice(["", "", "~", "~~"])
+            body = "".join(
+                rng.choice(TestFuzz.GRAPH6_CHARS if rng.random() < 0.9 else chars)
+                for _ in range(rng.randrange(12))
+            )
+            # a valid line (random pairs, zero padding) with one character
+            # replaced, inserted or deleted, or none; every 50th line has
+            # the '~' header (n >= 63) or lies just below it
+            n = rng.randrange(60, 71) if trial % 50 == 0 else rng.randrange(1, 12)
+            nbits = n * (n - 1) // 2
+            pad = -nbits % 6
+            data = rng.getrandbits(nbits) << pad
+            shifts = range(nbits + pad - 6, -1, -6)
+            line = list(_encode_order(n) + "".join(chr(63 + (data >> s & 63)) for s in shifts))
+            pos = rng.randrange(len(line) + 1)
+            op = rng.randrange(4)
+            if op == 0 and pos < len(line):
+                line[pos] = rng.choice(chars)
+            elif op == 1:
+                line.insert(pos, rng.choice(chars))
+            elif op == 2 and pos < len(line):
+                del line[pos]
+            for text in (prefix + body, "".join(line)):
+                expected = parse_outcome(reference.parse_graph6, text)
+                assert parse_outcome(parse_graph6, text) == expected, text
+                kind = "graph" if isinstance(expected, Graph) else expected[0].split(" (")[0]
+                outcomes["bad byte" if "outside graph6 range" in kind else kind] += 1
+        # every outcome occurs: a graph and each of the six parse errors
+        assert len(outcomes) == 7 and min(outcomes.values()) > 100, outcomes
+
+    def test_write_matches_reference_on_families(self):
+        for name in FAMILY_NAMES:
+            sizes = range(5, 71, 2) if name == "triangle-fan" else range(4, 71)
+            for size in sizes if name in _PARAMETRIC else [None]:
+                g = build(name, size)
+                assert write_graph6(g) == reference.write_graph6(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_n=70))
+    def test_write_matches_reference(self, g):
+        line = write_graph6(g)
+        assert line == reference.write_graph6(g)
+        assert parse_graph6(line) == g

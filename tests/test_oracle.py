@@ -178,6 +178,9 @@ class TestExhaustive:
             next(iter_connected_graphs(8))
         with pytest.raises(ValueError):
             exhaustive_verify(0)
+        for n in (0, -2):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                iter_connected_graphs(n)
 
     def test_worker_count_capped_at_cpu_count(self, monkeypatch):
         pool = RecordingPool()
