@@ -19,9 +19,11 @@ _ORDER_FORMS = ((62, 1), (258047, 3), (68719476735, 6))
 
 OPTIONAL_HEADER = ">>graph6<<"
 
-#: The six binary digits of each character value, and back to the character.
-_DIGITS = [format(value, "06b") for value in range(64)]
-_CHARS = {digits: chr(63 + value) for value, digits in enumerate(_DIGITS)}
+#: Each character's six binary digits, least significant first (a
+#: ``str.translate`` table), and the six digits, most significant first,
+#: back to the character.
+_DIGITS_REVERSED = {63 + value: format(value, "06b")[::-1] for value in range(64)}
+_CHARS = {format(value, "06b"): chr(63 + value) for value in range(64)}
 
 
 class Graph6ParseError(ValueError):
@@ -67,13 +69,20 @@ def parse_graph6(line: str) -> Graph:
         raise Graph6ParseError("trailing garbage after graph6 data", data_end)
     if len(line) < data_end:
         raise Graph6ParseError("truncated graph6 line", len(line))
-    bits = "".join([_DIGITS[_char_value(line, pos)] for pos in range(data_start, data_end)])
-    if "1" in bits[nbits:]:  # the padding, all in the last byte
+    data = line[: data_start - 1 : -1]  # last character first
+    if data and not "?" <= min(data) <= max(data) <= "~":
+        for pos in range(data_start, data_end):
+            _char_value(line, pos)  # raises at the first bad character
+    # The line's bit string reversed: the padding, all from the last
+    # character, comes first, and pair 0 last.
+    bits = data.translate(_DIGITS_REVERSED)
+    if "1" in bits[: len(bits) - nbits]:
         raise Graph6ParseError("nonzero padding bits", data_end - 1)
-    pairs = int(bits[nbits - 1 :: -1] or "0", 2)  # bit k is pair k
     adj = [0] * n
+    end = len(bits)
     for j in range(1, n):
-        adj[j] = pairs >> (j * (j - 1) // 2) & ((1 << j) - 1)
+        adj[j] = int(bits[end - j : end], 2)  # pair (i, j) is bit i
+        end -= j
         for i in iter_bits(adj[j]):
             adj[i] |= 1 << j
     return Graph._trusted(n, tuple(adj))

@@ -1,13 +1,12 @@
 """Brute-force ground truth for the witness engine.
 
-``brute_force_witness`` scans every non-zero (0,1)-vector in ascending
-binary order (the vector read as a little-endian integer), skips actual
-rows, and decides row-space membership by reducing the candidate against a
-row-echelon form of the adjacency matrix computed once per graph. This is
-the definitional search: whatever the constructive strategies claim must
-agree with it. The first candidate is decided by the certificate solve
-alone: when it is a member, that solve is the whole search (no echelon, no
-scan), and when it is not, the scan runs from the start.
+``brute_force_witness`` walks the candidates, every non-zero (0,1)-vector
+that is not a row, in ascending binary order (the vector read as a
+little-endian integer), and decides each with the certificate solve; the
+first certificate is the witness. This is the definitional search: whatever
+the constructive strategies claim must agree with it.
+``enumerate_all_witnesses`` walks the same candidates and reduces each
+against one row-echelon form of the adjacency matrix.
 
 ``exhaustive_verify`` runs the full engine (constructive strategies with
 oracle fallback at the default bound) over every labeled connected graph
@@ -76,52 +75,36 @@ def _adjacency_rows(g: Graph, limit: int) -> list[list[int]]:
     return adjacency_matrix(g)
 
 
-def _scan(g: Graph, rows: list[list[int]]) -> Iterator[tuple[int, tuple[int, ...] | None]]:
-    """Every witness in ascending binary order, each with the number of
-    non-row candidates checked so far; a final ``(checked, None)`` carries
-    the total. ``rows`` is A(g) from ``_adjacency_rows``."""
-    echelon, pivots = integer_row_echelon(rows)
+def brute_force_witness(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> OracleResult:
+    """First witness in ascending candidate order, each candidate decided
+    by ``solve_membership``; ``candidates_checked`` counts the candidates up
+    to and including the witness, or all of them when none is a member."""
+    rows = _adjacency_rows(g, limit)
     row_masks = set(g.adj)
     checked = 0
     for mask in range(1, 1 << g.n):
         if mask in row_masks:
             continue
         checked += 1
-        x = _bit_vector(mask, g.n)
-        if _reduces_to_zero(echelon, pivots, x):
-            yield checked, tuple(x)
-    yield checked, None
-
-
-def brute_force_witness(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> OracleResult:
-    """First witness in candidate scan order, with a solved certificate.
-
-    The first candidate, the lowest mask that is not a row, is decided by
-    ``solve_membership`` itself: a certificate makes it the witness, one
-    candidate checked, with the certificate the scan-then-solve path would
-    solve for on the same inputs. Only when it is not a member do the
-    echelon and the scan run. Such a mask exists below 2^n, since g has at
-    most n distinct rows.
-    """
-    rows = _adjacency_rows(g, limit)
-    first = next(mask for mask in range(1, 1 << g.n) if mask not in g.adj)
-    vector = tuple(_bit_vector(first, g.n))
-    cert = solve_membership(rows, vector)
-    if cert is not None:
-        return OracleResult(Witness(vector, cert, Strategy.ORACLE), 1)
-    checked, vector = next(_scan(g, rows))
-    if vector is None:
-        return OracleResult(None, checked)
-    cert = solve_membership(rows, vector)
-    if cert is None:
-        raise RuntimeError("echelon reduction and exact solve disagree")
-    witness = Witness(vector, cert, Strategy.ORACLE)
-    return OracleResult(witness, checked)
+        vector = tuple(_bit_vector(mask, g.n))
+        cert = solve_membership(rows, vector)
+        if cert is not None:
+            return OracleResult(Witness(vector, cert, Strategy.ORACLE), checked)
+    return OracleResult(None, checked)
 
 
 def enumerate_all_witnesses(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> list[tuple[int, ...]]:
     """Every qualifying (0,1)-vector, in ascending binary order."""
-    return [x for _, x in _scan(g, _adjacency_rows(g, limit)) if x is not None]
+    echelon, pivots = integer_row_echelon(_adjacency_rows(g, limit))
+    row_masks = set(g.adj)
+    witnesses: list[tuple[int, ...]] = []
+    for mask in range(1, 1 << g.n):
+        if mask in row_masks:
+            continue
+        x = _bit_vector(mask, g.n)
+        if _reduces_to_zero(echelon, pivots, x):
+            witnesses.append(tuple(x))
+    return witnesses
 
 
 def _edge_pairs(n: int) -> list[tuple[int, int]]:

@@ -1,11 +1,11 @@
 """Reference oracle for differential tests of rowspace.oracle.
 
 ``brute_force_witness`` is the scan-then-solve search the library used
-before it decided the first candidate by the certificate solve alone: the
-echelon form of A(g), the ascending scan that skips rows and reduces every
-other candidate against it, then one solve for the first member. The
-library's version must return the same vector, candidate count and
-certificate.
+before it decided every candidate by the certificate solve: the echelon
+form of A(g), the ascending scan that skips rows and reduces every other
+candidate against it, then one solve for the first member. The library's
+version, a solve per candidate, must return the same vector, candidate
+count and certificate.
 """
 
 from __future__ import annotations

@@ -63,6 +63,20 @@ class TestParse:
         assert excinfo.value.offset == 8
         assert peak < 1 << 20
 
+    def test_parse_peak_memory_is_a_small_multiple_of_the_line(self):
+        # the bit string takes six bytes per data character; a list with one
+        # reference per character or a reversed copy of the bit string on
+        # top of it would take the peak past ten times the line
+        line = write_graph6(build("path", 2000))
+        tracemalloc.start()
+        try:
+            g = parse_graph6(line)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g == build("path", 2000)
+        assert peak <= 10 * len(line)
+
     def test_trailing_garbage(self):
         with pytest.raises(Graph6ParseError) as excinfo:
             parse_graph6("C~~")

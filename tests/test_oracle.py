@@ -60,6 +60,15 @@ class TestBruteForce:
         assert res.witness is None
         assert res.candidates_checked == 7  # 2^3 - 1, no row masks to skip
 
+    def test_search_builds_no_echelon(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("the search built an echelon form")
+
+        monkeypatch.setattr(rowspace.oracle, "integer_row_echelon", refuse)
+        res = brute_force_witness(build("star", 4))
+        assert res.witness.vector == (1, 1, 1, 1, 1)
+        assert res.candidates_checked == 29
+
     def test_deterministic(self):
         g = build("cycle", 6)
         a = brute_force_witness(g)
@@ -72,10 +81,10 @@ class TestBruteForce:
 
 
 class TestFirstCandidateSolve:
-    """brute_force_witness against the scan-then-solve search it replaced
-    (tests/oracle_reference.py): the same vector, candidate count and
-    certificate, whether the first candidate's solve settles the graph or
-    the scan runs."""
+    """brute_force_witness, a certificate solve per candidate, against the
+    scan-then-solve search (tests/oracle_reference.py): the same vector,
+    candidate count and certificate, whether the first candidate settles
+    the graph or later ones are solved for."""
 
     @pytest.mark.slow
     def test_every_labeled_graph_up_to_six(self):
@@ -94,7 +103,19 @@ class TestFirstCandidateSolve:
     @settings(max_examples=60, deadline=None)
     @given(graphs(min_n=1, max_n=12))
     def test_random_graphs_up_to_twelve(self, g):
-        assert brute_force_witness(g) == oracle_reference.brute_force_witness(g)
+        result = brute_force_witness(g)
+        assert result == oracle_reference.brute_force_witness(g)
+        # the search (solve per candidate) and the proof (echelon reduction)
+        # share no membership code, yet agree on the first witness and on
+        # how many non-row masks lead up to it
+        witnesses = enumerate_all_witnesses(g)
+        if witnesses:
+            assert result.witness.vector == witnesses[0]
+            last = sum(b << i for i, b in enumerate(witnesses[0]))
+        else:
+            assert not result.found
+            last = (1 << g.n) - 1
+        assert result.candidates_checked == sum(1 for m in range(1, last + 1) if m not in g.adj)
 
 
 class TestEnumerate:
@@ -201,10 +222,11 @@ class TestOracleLimitRange:
 
     @pytest.fixture
     def no_scan(self, monkeypatch):
-        def refuse(rows):
+        def refuse(*args):
             raise AssertionError("the candidate scan started")
 
         monkeypatch.setattr(rowspace.oracle, "integer_row_echelon", refuse)
+        monkeypatch.setattr(rowspace.oracle, "solve_membership", refuse)
 
     def test_enumerate_rejects_before_scanning(self, no_scan):
         # a 2^24 scan used to start here
