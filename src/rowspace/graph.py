@@ -5,14 +5,22 @@ used as a bitset: bit j of ``adj[i]`` is set iff i and j are adjacent.
 Graphs are immutable after construction and every operation here is a pure
 function, so instances can be shared freely between worker processes.
 
-Bit positions come from ``iter_bits``: a mask below 256 (every
-neighbourhood of a graph on at most 8 vertices) is read from one table of
-256 tuples built at import, a larger mask bit by bit.
+Bit positions come from ``iter_bits``: a mask below 2^64 (every
+neighbourhood of a graph on at most 64 vertices) is read byte by byte from
+tables of 256 tuples, one per byte position; the first is built at import,
+the other seven on first use. A larger mask is read bit by bit.
 
 Distances come from one routine, ``diametral_geodesic``: an all-sources
 expansion of bitset balls that yields the diameter and a diametral
 geodesic together. ``None`` is the only way a distance routine says that a
 graph is disconnected.
+
+Two facts that several layers ask of one graph are computed once per
+instance and kept in its ``__dict__``: the diametral geodesic and
+``_component`` (the first component with an edge). A graph never changes
+and ``==``, ``hash`` and ``repr`` read only ``n`` and ``adj``, so a kept
+value cannot go stale or make two equal graphs differ; a graph built from
+another (``induced_subgraph``, ``multiply_vertices``) starts empty.
 
 ``Graph(n, adj)`` and ``Graph.from_edges`` validate their input. Builders
 whose output is valid by construction skip that check through the private
@@ -27,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import getitem
 from typing import Iterable, Iterator, Sequence
 
 
@@ -40,17 +49,27 @@ def _byte_bits() -> tuple[tuple[int, ...], ...]:
 
 
 _BYTE_BITS = _byte_bits()
+# Table k holds each byte value's bit positions plus 8k; at most 8 tables.
+_BYTE_TABLES = [_BYTE_BITS]
 
 
 def iter_bits(mask: int) -> Iterator[int]:
     """The set bit positions of ``mask`` in increasing order; ValueError
-    for a negative mask, which has infinitely many. A mask below 256 is
-    read from a table, a larger one bit by bit."""
+    for a negative mask, which has infinitely many. A mask below 2^64 is
+    read one byte per table, a larger one bit by bit: on a sparse wide mask
+    the tables would walk every zero byte."""
     if mask < 256:
         if mask < 0:
             raise ValueError(f"negative mask {mask} has infinitely many set bits")
         return iter(_BYTE_BITS[mask])
-    return _low_bits(mask)
+    width = mask.bit_length()
+    if width > 64:
+        return _low_bits(mask)
+    data = mask.to_bytes((width + 7) >> 3, "little")
+    while len(_BYTE_TABLES) < len(data):
+        shift = 8 * len(_BYTE_TABLES)
+        _BYTE_TABLES.append(tuple(tuple(b + shift for b in bits) for bits in _BYTE_BITS))
+    return iter(sum(map(getitem, _BYTE_TABLES, data), ()))
 
 
 def _low_bits(mask: int) -> Iterator[int]:
@@ -145,6 +164,20 @@ def is_reduced(g: Graph) -> bool:
     return len(set(g.adj)) == g.n
 
 
+def _component(g: Graph) -> int:
+    """Bitset of the first component of g with an edge, kept on g;
+    ValueError if g has no edge."""
+    memo = g.__dict__
+    if "_component" not in memo:
+        for first, nb in enumerate(g.adj):
+            if nb:
+                break
+        else:
+            raise ValueError("witness search requires a graph with at least one edge")
+        memo["_component"] = reachable(g.adj, 1 << first)
+    return memo["_component"]
+
+
 def diameter(g: Graph) -> int | None:
     """Largest pairwise distance; None iff the graph is disconnected."""
     path = diametral_geodesic(g)
@@ -157,7 +190,16 @@ def diametral_geodesic(g: Graph) -> tuple[int, ...] | None:
 
     Ties are broken by the lexicographically smallest endpoint pair (u, v)
     with u < v, then by the lexicographically smallest vertex sequence among
-    shortest u-v paths.
+    shortest u-v paths. Computed once per graph and kept on it.
+    """
+    memo = g.__dict__
+    if "_geodesic" not in memo:
+        memo["_geodesic"] = _geodesic(g)
+    return memo["_geodesic"]
+
+
+def _geodesic(g: Graph) -> tuple[int, ...] | None:
+    """``diametral_geodesic`` without the memo.
 
     All balls grow together: round k sets ball[v] |= ball[w] for every
     neighbour w of v, so ball[v] holds the vertices within distance k of v.

@@ -4,7 +4,9 @@ Each input line becomes one record. Rationals are serialized as "p/q"
 strings so reports stay exact; the diameter of a disconnected input is
 None and serializes as null. Records are self-verifying: re-parsing a
 record's graph6 and re-checking its witness and certificate succeeds for
-every status=ok record.
+every status=ok record. The record's diameter and the search's
+``diam-ge4-path`` read one ball expansion, which the graph keeps (see
+``rowspace.graph``).
 
 Statuses: ``ok`` (witness found and verified), ``no-witness-found`` (the
 exhaustive oracle ran and no witness exists -- a counterexample), ``skipped``
@@ -27,8 +29,8 @@ from typing import Callable, Iterable, Iterator
 
 from .graph import Graph, diameter
 from .graph6 import OPTIONAL_HEADER, Graph6ParseError, parse_graph6
-from .linalg import adjacency_matrix, rank
-from .witness import DEFAULT_ORACLE_LIMIT, check_oracle_limit, find_witness, oracle_declines
+from .linalg import _ZERO, adjacency_matrix, rank
+from .witness import _BIT_CHARS, DEFAULT_ORACLE_LIMIT, check_oracle_limit, find_witness, oracle_declines
 
 #: Largest n whose record carries the adjacency rank. Bareiss elimination
 #: does n^3 steps on entries that grow with n, so one larger line could
@@ -62,7 +64,7 @@ def parallel_map(fn: Callable, items: Iterable, jobs: int, chunksize: int = 1) -
 
 
 def _fraction_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    return "0/1" if value is _ZERO else f"{value.numerator}/{value.denominator}"
 
 
 def _json(record, has_graph: bool) -> dict:
@@ -148,22 +150,23 @@ def _verify_line(args: tuple[str, int]) -> VerificationRecord:
 
 def _verify_graph(line: str, oracle_limit: int) -> VerificationRecord:
     g = parse_graph6(line)
+    size = g.size
     record = VerificationRecord(
         graph6=line,
         status="ok",
         n=g.n,
-        edges=g.size,
+        edges=size,
         diameter=diameter(g),
         rank=bounded_rank(g),
     )
-    if g.size == 0:
+    if size == 0:
         record.status = "skipped"
         record.reason = "graph has no edge; the searched property assumes one"
         return record
     w = find_witness(g, oracle_limit)
     if w is not None:
         record.strategy = w.strategy.value
-        record.witness = "".join(str(b) for b in w.vector)
+        record.witness = bytes(w.vector).translate(_BIT_CHARS).decode()
         record.certificate = [_fraction_str(c) for c in w.certificate.coefficients]
         return record
     declined = oracle_declines(g, oracle_limit)

@@ -141,7 +141,7 @@ def solve_membership(rows: Sequence[Sequence[int]], x: Sequence[int]) -> Members
     if len(x) != ncols:
         raise ValueError(f"vector has length {len(x)}, matrix has {ncols} columns")
     ncoef = len(rows)
-    target = tuple(int(e) for e in x)
+    target = tuple(map(int, x))
     aug = [list(col) + [b] for col, b in zip(zip(*rows), target)]
     echelon, pivots = integer_row_echelon(aug)
     if pivots and pivots[-1] == ncoef:

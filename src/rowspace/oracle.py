@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .graph import Graph, reachable
+from .graph import Graph, _component
 from .graph6 import write_graph6
 from .harness import parallel_map, worker_count
 from .linalg import _bit_vector, adjacency_matrix, integer_row_echelon, solve_membership
@@ -123,6 +123,8 @@ def _connected_graphs(n: int, start: int, stop: int) -> Iterator[Graph]:
     A binary counter: going from mask - 1 to mask flips the bits of
     mask ^ (mask - 1), two on average, so one adjacency list, built for the
     mask before the first, follows the walk by flipping their pairs' edges.
+    A graph is connected when its ``_component`` is every vertex, and it
+    keeps that bitset for ``find_witness``.
     """
     pairs = _edge_pairs(n)
     start = max(start, 1)
@@ -131,12 +133,14 @@ def _connected_graphs(n: int, start: int, stop: int) -> Iterator[Graph]:
         if (start - 1) >> k & 1:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
+    full = (1 << n) - 1
     for mask in range(start, stop):
         for i, j in pairs[: (mask & -mask).bit_length()]:
             adj[i] ^= 1 << j
             adj[j] ^= 1 << i
-        if reachable(adj, 1) == (1 << n) - 1:
-            yield Graph._trusted(n, tuple(adj))
+        g = Graph._trusted(n, tuple(adj))
+        if _component(g) == full:
+            yield g
 
 
 def iter_connected_graphs(n: int) -> Iterator[Graph]:

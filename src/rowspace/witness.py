@@ -27,7 +27,10 @@ Strategies:
 ``find_witness`` descends once, from the first component with an edge to
 its twin contraction, tries the strategies in the fixed order above
 (cheapest structural tests first) on each, and verifies the witness it
-returns on the input graph.
+returns on the input graph. The component and the diametral geodesic are
+kept on the graph (see ``rowspace.graph``), so a caller that asked for
+either first, such as the sweep generator or the harness's diameter, pays
+for it once. A decline with a fixed reason is a shared module constant.
 """
 
 from __future__ import annotations
@@ -41,22 +44,23 @@ from . import families
 from .graph import (
     Graph,
     _clone_blocks,
+    _component,
     diametral_geodesic,
     find_adjacent_disjoint_pair,
     induced_subgraph,
     iter_bits,
-    reachable,
 )
-from .linalg import MembershipCertificate, _bit_vector
+from .linalg import _ZERO, MembershipCertificate, _bit_vector
 
 DEFAULT_ORACLE_LIMIT = 16
 #: Largest accepted oracle bound: the oracle scans 2^n candidates.
 MAX_ORACLE_LIMIT = 20
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 _BINARY = frozenset((0, 1))
+#: Maps the bytes of a 0/1 vector to the ASCII digits "0" and "1".
+_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
 
 
 class Strategy(str, enum.Enum):
@@ -91,6 +95,16 @@ class StrategyOutcome:
 
     witness: Witness | None = None
     reason: str | None = None
+
+
+# Declines with a fixed reason; outcomes are frozen, so one serves every graph.
+_NOT_COMPLETE = StrategyOutcome(reason="not a complete graph on >= 2 vertices")
+_NO_DISJOINT_EDGE = StrategyOutcome(reason="every edge's endpoints share a neighbor")
+_DISCONNECTED = StrategyOutcome(reason="graph is disconnected")
+_SHORT_DIAMETER = tuple(StrategyOutcome(reason=f"diameter {d} < 4") for d in range(4))
+_COMPLETE_GRAPH = StrategyOutcome(reason="complete graph")
+_UNEQUAL_DEGREES = StrategyOutcome(reason="non-dominating vertices have unequal degrees")
+_NOT_IN_CATALOG = StrategyOutcome(reason="adjacency matrix not in the rank-5 catalog")
 
 
 def check_oracle_limit(limit: int) -> None:
@@ -146,13 +160,13 @@ def verify_witness(g: Graph, w: Witness) -> bool:
             acc[v] += p
     if acc != [denom * e for e in x]:
         return False
-    return sum(1 << v for v, e in enumerate(x) if e) not in g.adj
+    return int(bytes(x[::-1]).translate(_BIT_CHARS), 2) not in g.adj
 
 
 def witness_complete(g: Graph) -> StrategyOutcome:
     """All-ones witness for complete graphs: every column sums to n-1."""
     if g.n < 2 or not g.is_complete():
-        return StrategyOutcome(reason="not a complete graph on >= 2 vertices")
+        return _NOT_COMPLETE
     return StrategyOutcome(_witness((1,) * g.n, (Fraction(1, g.n - 1),) * g.n, Strategy.COMPLETE))
 
 
@@ -168,7 +182,7 @@ def witness_disjoint_nbhd(g: Graph) -> StrategyOutcome:
     """Row sum over the first adjacent pair with disjoint neighborhoods."""
     pair = find_adjacent_disjoint_pair(g)
     if pair is None:
-        return StrategyOutcome(reason="every edge's endpoints share a neighbor")
+        return _NO_DISJOINT_EDGE
     return _row_pair_sum(g, *pair, Strategy.DISJOINT_NBHD)
 
 
@@ -176,9 +190,9 @@ def witness_diam_ge4(g: Graph) -> StrategyOutcome:
     """Row sum over positions 1 and l of a diametral geodesic p_0..p_l."""
     path = diametral_geodesic(g)
     if path is None:
-        return StrategyOutcome(reason="graph is disconnected")
+        return _DISCONNECTED
     if len(path) < 5:
-        return StrategyOutcome(reason=f"diameter {len(path) - 1} < 4")
+        return _SHORT_DIAMETER[len(path) - 1]
     return _row_pair_sum(g, path[1], path[-1], Strategy.DIAM_GE4)
 
 
@@ -190,13 +204,13 @@ def witness_dominating_regular(g: Graph) -> StrategyOutcome:
     (n-d)/(n-1) on the dominating row and 1/(n-1) elsewhere is all-ones.
     """
     if g.is_complete():
-        return StrategyOutcome(reason="complete graph")
+        return _COMPLETE_GRAPH
     doms = [v for v in range(g.n) if g.degree(v) == g.n - 1]
     if len(doms) != 1:
         return StrategyOutcome(reason=f"{len(doms)} dominating vertices, need exactly 1")
     rest_degrees = {g.degree(v) for v in range(g.n) if v != doms[0]}
     if len(rest_degrees) != 1:
-        return StrategyOutcome(reason="non-dominating vertices have unequal degrees")
+        return _UNEQUAL_DEGREES
     d = rest_degrees.pop()
     coeffs = [Fraction(1, g.n - 1)] * g.n
     coeffs[doms[0]] = Fraction(g.n - d, g.n - 1)
@@ -228,7 +242,7 @@ def witness_catalog_rank5(g: Graph) -> StrategyOutcome:
     """Pinned witness when g equals a catalog graph label-for-label."""
     pinned = _CATALOG.get(g.adj)
     if pinned is None:
-        return StrategyOutcome(reason="adjacency matrix not in the rank-5 catalog")
+        return _NOT_IN_CATALOG
     return StrategyOutcome(_witness(*pinned, Strategy.CATALOG_RANK5))
 
 
@@ -278,14 +292,6 @@ def _constructive(g: Graph) -> Witness | None:
         if w is not None:
             return w
     return None
-
-
-def _component(g: Graph) -> int:
-    """Bitset of the first component of g with an edge; ValueError if none."""
-    first = next((v for v, nb in enumerate(g.adj) if nb), None)
-    if first is None:
-        raise ValueError("witness search requires a graph with at least one edge")
-    return reachable(g.adj, 1 << first)
 
 
 def _twin_classes(g: Graph, component: int) -> list[list[int]]:

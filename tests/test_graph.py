@@ -1,12 +1,20 @@
+import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rowspace.graph
 from conftest import (
+    bfs_oracle,
     connected_graphs,
     diameter_oracle,
     every_graph,
@@ -17,6 +25,7 @@ from conftest import (
 from rowspace.families import build, petersen
 from rowspace.graph import (
     Graph,
+    _component,
     diameter,
     diametral_geodesic,
     duplicate_vertex,
@@ -175,6 +184,37 @@ class TestIterBits:
             mask = rng.getrandbits(width) | 1 << (width - 1)
             assert list(iter_bits(mask)) == low_bits(mask), mask
 
+    @pytest.mark.parametrize("width", [63, 64, 65, 72])
+    def test_widths_at_the_table_edge(self, width):
+        # 64 bits is the widest mask read by table, 65 the narrowest read
+        # bit by bit
+        rng = random.Random(width)
+        masks = [(1 << width) - 1, 1 << (width - 1), (1 << (width - 1)) | 1]
+        masks += [rng.getrandbits(width) | 1 << (width - 1) for _ in range(50)]
+        for mask in masks:
+            assert mask.bit_length() == width
+            assert list(iter_bits(mask)) == low_bits(mask), mask
+
+    @pytest.mark.parametrize("mask", [1 | 1 << 40, 1 << 63, (1 << 64) - 1, 1 << 64], ids=hex)
+    def test_zero_bytes_and_the_edges_of_64_bits(self, mask):
+        assert list(iter_bits(mask)) == low_bits(mask)
+
+    def test_at_most_eight_tables_one_at_import(self):
+        assert list(iter_bits((1 << 64) - 1)) == list(range(64))
+        assert len(rowspace.graph._BYTE_TABLES) == 8
+        assert list(iter_bits((1 << 300) - 1)) == list(range(300))
+        assert len(rowspace.graph._BYTE_TABLES) == 8
+        code = "import rowspace.graph as g; print(len(g._BYTE_TABLES))"
+        src = str(Path(rowspace.graph.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "1"
+
     @pytest.mark.parametrize("mask", [-1, -2, -255, -256, -257, -(1 << 300)])
     def test_negative_mask_raises(self, mask):
         # a negative mask has infinitely many set bits: the low-bit loop
@@ -279,6 +319,59 @@ class TestDistanceDifferential:
             expected = oracle_geodesic(g)
             assert diametral_geodesic(g) == expected, g
             assert diameter(g) == len(expected) - 1, g
+
+
+def fresh_component(g: Graph) -> int:
+    """The first component with an edge, by deque BFS."""
+    first = next(v for v in range(g.n) if g.adj[v])
+    return sum(1 << v for v, d in enumerate(bfs_oracle(g, first)) if d != math.inf)
+
+
+class TestGraphMemo:
+    """The geodesic and the first component with an edge are kept on the
+    graph; the kept values must be right and must not show anywhere else."""
+
+    def check(self, g: Graph) -> None:
+        bare = Graph(g.n, g.adj)
+        diameter(g)
+        assert diametral_geodesic(g) == oracle_geodesic(g), g
+        if g.size:
+            assert _component(g) == fresh_component(bare), g
+            assert g.__dict__["_component"] == _component(g)
+        else:
+            with pytest.raises(ValueError, match="at least one edge"):
+                _component(g)
+        assert g == bare and hash(g) == hash(bare) and repr(g) == repr(bare)
+        again = pickle.loads(pickle.dumps(g))
+        assert again == bare and hash(again) == hash(bare)
+
+    @pytest.mark.slow
+    def test_every_labeled_graph_up_to_six(self):
+        checked = 0
+        for n in range(1, 7):
+            for g in every_graph(n):
+                self.check(g)
+                checked += 1
+        assert checked == 1 + 2 + 8 + 64 + 1024 + 32768
+
+    def test_seeded_graphs_up_to_seventy(self):
+        rng = random.Random(70)
+        for _ in range(300):
+            n = rng.randint(1, 70)
+            p = rng.choice((0.02, 0.05, 0.1, 0.3, 0.6))
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            self.check(Graph.from_edges(n, edges))
+
+    def test_derived_graphs_compute_their_own(self):
+        g = build("cycle", 12)
+        assert diametral_geodesic(g) == oracle_geodesic(g) and _component(g)
+        sub = induced_subgraph(g, [3, 4, 5, 6, 7])
+        blown = multiply_vertices(build("path", 5), [2, 1, 1, 1, 3])
+        for h in (sub, blown):
+            assert "_geodesic" not in h.__dict__ and "_component" not in h.__dict__
+            assert diametral_geodesic(h) == oracle_geodesic(h)
+            assert _component(h) == fresh_component(h)
+        assert diametral_geodesic(sub) == (0, 1, 2, 3, 4)
 
 
 class TestDistanceMemory:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import rowspace.graph
 import rowspace.harness
 from conftest import RecordingPool, co_c7
 from rowspace.cli import main
@@ -140,6 +141,16 @@ class TestRunVerification:
         assert main(["family", "--name", "cycle", "--size", "5"]) == 0
         assert "rank:     -1" in capsys.readouterr().out
         assert record.rank == -1 and calls == [5, 5]
+
+    def test_one_ball_expansion_per_record(self, monkeypatch):
+        # the record's diameter and diam-ge4, which declines on the wheel
+        # before dominating-regular fires, read one expansion
+        real = rowspace.graph._geodesic
+        calls = []
+        monkeypatch.setattr(rowspace.graph, "_geodesic", lambda g: calls.append(g) or real(g))
+        [record] = run_verification([write_graph6(build("wheel", 7))])
+        assert (record.diameter, record.strategy) == (2, "dominating-regular")
+        assert len(calls) == 1
 
     def test_unresolved_reasons_are_pinned(self, monkeypatch):
         line = write_graph6(co_c7())

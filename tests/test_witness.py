@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as reference
+import rowspace.graph
 import rowspace.oracle
 import rowspace.witness
 from conftest import (
@@ -28,7 +29,7 @@ from rowspace.graph import (
     multiply_vertices,
 )
 from rowspace.linalg import MembershipCertificate, adjacency_matrix, solve_membership
-from rowspace.oracle import OracleResult
+from rowspace.oracle import OracleResult, iter_connected_graphs
 from rowspace.witness import (
     MAX_ORACLE_LIMIT,
     Strategy,
@@ -365,6 +366,21 @@ class TestFindWitness:
         w = find_witness(g)
         assert w is not None
         assert verify_witness(g, w)
+
+
+def test_search_reuses_the_generators_component(monkeypatch):
+    # the sweep generator's connectivity test is the component the search
+    # starts from, so the search runs no BFS of its own
+    graphs5 = list(iter_connected_graphs(5))
+    assert len(graphs5) == 728
+    calls = []
+    for module in (rowspace.graph, rowspace.witness, rowspace.oracle):
+        if hasattr(module, "reachable"):
+            real = module.reachable
+            monkeypatch.setattr(module, "reachable", lambda *a, real=real: calls.append(a) or real(*a))
+    for g in graphs5:
+        assert find_witness(g) is not None
+    assert calls == []
 
 
 class TestSearchEnd:
