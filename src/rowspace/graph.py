@@ -15,12 +15,18 @@ expansion of bitset balls that yields the diameter and a diametral
 geodesic together. ``None`` is the only way a distance routine says that a
 graph is disconnected.
 
-Two facts that several layers ask of one graph are computed once per
-instance and kept in its ``__dict__``: the diametral geodesic and
-``_component`` (the first component with an edge). A graph never changes
-and ``==``, ``hash`` and ``repr`` read only ``n`` and ``adj``, so a kept
-value cannot go stale or make two equal graphs differ; a graph built from
-another (``induced_subgraph``, ``multiply_vertices``) starts empty.
+Three facts that several layers ask of one graph are computed once per
+instance and kept in its ``__dict__``, whose keys only this module names:
+the diametral geodesic, ``_component`` (the first component with an edge,
+which the sweep generator ``oracle._connected_graphs`` hands over from its
+own connectivity test through ``_keep_component``) and the rank of A(g),
+which ``oracle.brute_force_witness`` keeps from its certificate solve
+through ``_keep_rank`` and ``harness.bounded_rank`` reads through
+``_kept_rank``. A graph never changes and ``==``, ``hash`` and ``repr``
+read only ``n`` and ``adj``, so a kept value cannot go stale or make two
+equal graphs differ; a graph built from another (``induced_subgraph``,
+``multiply_vertices``) starts empty, so a component or a twin contraction
+keeps its own rank, never that of the graph it came from.
 
 ``Graph(n, adj)`` and ``Graph.from_edges`` validate their input. Builders
 whose output is valid by construction skip that check through the private
@@ -176,6 +182,21 @@ def _component(g: Graph) -> int:
             raise ValueError("witness search requires a graph with at least one edge")
         memo["_component"] = reachable(g.adj, 1 << first)
     return memo["_component"]
+
+
+def _keep_component(g: Graph, component: int) -> None:
+    """Keep on g the bitset ``_component`` would compute, found by the caller."""
+    g.__dict__["_component"] = component
+
+
+def _keep_rank(g: Graph, r: int) -> None:
+    """Keep on g the rank of A(g), found by the caller."""
+    g.__dict__["_rank"] = r
+
+
+def _kept_rank(g: Graph) -> int | None:
+    """The rank ``_keep_rank`` kept on g, or None."""
+    return g.__dict__.get("_rank")
 
 
 def diameter(g: Graph) -> int | None:

@@ -6,7 +6,10 @@ None and serializes as null. Records are self-verifying: re-parsing a
 record's graph6 and re-checking its witness and certificate succeeds for
 every status=ok record. The record's diameter and the search's
 ``diam-ge4-path`` read one ball expansion, which the graph keeps (see
-``rowspace.graph``).
+``rowspace.graph``). The record's rank is read after the search: when the
+oracle scanned the input graph itself, its certificate solve has already
+eliminated A(g) and kept the rank on g; otherwise ``bounded_rank``
+eliminates A(g) once.
 
 Statuses: ``ok`` (witness found and verified), ``no-witness-found`` (the
 exhaustive oracle ran and no witness exists -- a counterexample), ``skipped``
@@ -27,7 +30,7 @@ from fractions import Fraction
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator
 
-from .graph import Graph, diameter
+from .graph import Graph, _kept_rank, diameter
 from .graph6 import OPTIONAL_HEADER, Graph6ParseError, parse_graph6
 from .linalg import _ZERO, adjacency_matrix, rank
 from .witness import _BIT_CHARS, DEFAULT_ORACLE_LIMIT, check_oracle_limit, find_witness, oracle_declines
@@ -39,8 +42,12 @@ RANK_LIMIT = 256
 
 
 def bounded_rank(g: Graph) -> int | None:
-    """The rank of A(g), or None when n exceeds RANK_LIMIT."""
-    return rank(adjacency_matrix(g)) if g.n <= RANK_LIMIT else None
+    """The rank of A(g), or None when n exceeds RANK_LIMIT: the rank the
+    oracle kept on g when it scanned g itself, else its own elimination."""
+    if g.n > RANK_LIMIT:
+        return None
+    kept = _kept_rank(g)
+    return rank(adjacency_matrix(g)) if kept is None else kept
 
 
 def worker_count(jobs: int) -> int:
@@ -157,13 +164,13 @@ def _verify_graph(line: str, oracle_limit: int) -> VerificationRecord:
         n=g.n,
         edges=size,
         diameter=diameter(g),
-        rank=bounded_rank(g),
     )
+    w = find_witness(g, oracle_limit) if size else None
+    record.rank = bounded_rank(g)
     if size == 0:
         record.status = "skipped"
         record.reason = "graph has no edge; the searched property assumes one"
         return record
-    w = find_witness(g, oracle_limit)
     if w is not None:
         record.strategy = w.strategy.value
         record.witness = bytes(w.vector).translate(_BIT_CHARS).decode()

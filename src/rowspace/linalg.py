@@ -126,7 +126,9 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
     return len(integer_row_echelon(rows)[1])
 
 
-def solve_membership(rows: Sequence[Sequence[int]], x: Sequence[int]) -> MembershipCertificate | None:
+def solve_membership(
+    rows: Sequence[Sequence[int]], x: Sequence[int], pivots_out: list[int] | None = None
+) -> MembershipCertificate | None:
     """Certificate c with sum(c_u * rows[u]) = x if x lies in the row space, else None.
 
     One Bareiss pass over the augmented system (equation i: column i of the
@@ -135,7 +137,10 @@ def solve_membership(rows: Sequence[Sequence[int]], x: Sequence[int]) -> Members
     give identical certificates. Back-substitution yields integer numerators
     over the common denominator D, the last pivot: by Cramer's rule D times
     the solution is integral. The identity sum(num_u * rows[u]) = D * x is
-    re-verified in integers before return.
+    re-verified in integers before return. The pass's pivot columns are
+    appended to ``pivots_out`` when given: those below ``len(rows)`` count
+    the rank of the system's matrix, the transpose of ``rows``, which is the
+    rank of ``rows``; one at ``len(rows)`` means x is no member.
     """
     ncols = _width(rows)
     if len(x) != ncols:
@@ -144,6 +149,8 @@ def solve_membership(rows: Sequence[Sequence[int]], x: Sequence[int]) -> Members
     target = tuple(map(int, x))
     aug = [list(col) + [b] for col, b in zip(zip(*rows), target)]
     echelon, pivots = integer_row_echelon(aug)
+    if pivots_out is not None:
+        pivots_out.extend(pivots)
     if pivots and pivots[-1] == ncoef:
         return None
     denom = echelon[-1][pivots[-1]] if pivots else 1

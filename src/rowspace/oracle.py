@@ -3,8 +3,10 @@
 ``brute_force_witness`` walks the candidates, every non-zero (0,1)-vector
 that is not a row, in ascending binary order (the vector read as a
 little-endian integer), and decides each with the certificate solve; the
-first certificate is the witness. This is the definitional search: whatever
-the constructive strategies claim must agree with it.
+first certificate is the witness, and each solve's pivots give the rank
+of the adjacency matrix, which it keeps on the graph. This is the
+definitional search: whatever the constructive strategies claim must agree
+with it.
 ``enumerate_all_witnesses`` walks the same candidates and reduces each
 against one row-echelon form of the adjacency matrix.
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .graph import Graph, _component
+from .graph import Graph, _keep_component, _keep_rank, reachable
 from .graph6 import write_graph6
 from .harness import parallel_map, worker_count
 from .linalg import _bit_vector, adjacency_matrix, integer_row_echelon, solve_membership
@@ -78,7 +80,12 @@ def _adjacency_rows(g: Graph, limit: int) -> list[list[int]]:
 def brute_force_witness(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> OracleResult:
     """First witness in ascending candidate order, each candidate decided
     by ``solve_membership``; ``candidates_checked`` counts the candidates up
-    to and including the witness, or all of them when none is a member."""
+    to and including the witness, or all of them when none is a member.
+    Each solve eliminates [A(g)^T | x], and its pivots below column n count
+    rank(A(g)^T) = rank(A(g)), which g keeps (``graph._keep_rank``). A first
+    candidate always exists: a lone vertex's row is 0, and from n = 2 on n
+    rows are fewer than the 2^n - 1 non-zero masks.
+    """
     rows = _adjacency_rows(g, limit)
     row_masks = set(g.adj)
     checked = 0
@@ -87,7 +94,9 @@ def brute_force_witness(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> OracleRe
             continue
         checked += 1
         vector = tuple(_bit_vector(mask, g.n))
-        cert = solve_membership(rows, vector)
+        pivots: list[int] = []
+        cert = solve_membership(rows, vector, pivots)
+        _keep_rank(g, sum(pc < g.n for pc in pivots))
         if cert is not None:
             return OracleResult(Witness(vector, cert, Strategy.ORACLE), checked)
     return OracleResult(None, checked)
@@ -123,8 +132,9 @@ def _connected_graphs(n: int, start: int, stop: int) -> Iterator[Graph]:
     A binary counter: going from mask - 1 to mask flips the bits of
     mask ^ (mask - 1), two on average, so one adjacency list, built for the
     mask before the first, follows the walk by flipping their pairs' edges.
-    A graph is connected when its ``_component`` is every vertex, and it
-    keeps that bitset for ``find_witness``.
+    Only a mask whose adjacency list reaches every vertex from vertex 0
+    becomes a graph, and it keeps that bitset as its ``_component`` for
+    ``find_witness``.
     """
     pairs = _edge_pairs(n)
     start = max(start, 1)
@@ -138,8 +148,9 @@ def _connected_graphs(n: int, start: int, stop: int) -> Iterator[Graph]:
         for i, j in pairs[: (mask & -mask).bit_length()]:
             adj[i] ^= 1 << j
             adj[j] ^= 1 << i
-        g = Graph._trusted(n, tuple(adj))
-        if _component(g) == full:
+        if reachable(adj, 1) == full:
+            g = Graph._trusted(n, tuple(adj))
+            _keep_component(g, full)
             yield g
 
 

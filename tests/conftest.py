@@ -8,12 +8,16 @@ two independent implementations against each other.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 
 from hypothesis import strategies as st
 
 from rowspace.graph import Graph
 from rowspace.oracle import OracleResult
+
+#: Worker processes for the tests that spread exhaustive work over a pool.
+JOBS = min(8, os.cpu_count() or 1)
 
 
 def bfs_oracle(g: Graph, source: int, nbrs: list[list[int]] | None = None) -> list[float]:

@@ -146,6 +146,21 @@ class TestMaskWalk:
                 ]
                 assert walked == expected, (n, chunks)
 
+    def test_builds_a_graph_for_connected_masks_only(self, monkeypatch):
+        # connectivity is read off the adjacency list, and a kept graph
+        # comes with its component bitset, every vertex
+        trusted = Graph._trusted.__func__
+        built = []
+
+        def recording(cls, n, adj):
+            built.append(adj)
+            return trusted(cls, n, adj)
+
+        monkeypatch.setattr(Graph, "_trusted", classmethod(recording))
+        graphs = list(iter_connected_graphs(5))
+        assert len(built) == len(graphs) == 728
+        assert {g.__dict__["_component"] for g in graphs} == {(1 << 5) - 1}
+
     def test_seeded_windows_on_seven(self):
         total = 1 << 21
         rng = random.Random(7)

@@ -7,10 +7,10 @@ import pytest
 
 import rowspace.graph
 import rowspace.harness
-from conftest import RecordingPool, co_c7
+from conftest import RecordingPool, co_c7, disjoint_union
 from rowspace.cli import main
 from rowspace.families import build
-from rowspace.graph import Graph
+from rowspace.graph import Graph, multiply_vertices
 from rowspace.graph6 import parse_graph6, write_graph6
 from rowspace.harness import (
     SizeBoundRecord,
@@ -141,6 +141,39 @@ class TestRunVerification:
         assert main(["family", "--name", "cycle", "--size", "5"]) == 0
         assert "rank:     -1" in capsys.readouterr().out
         assert record.rank == -1 and calls == [5, 5]
+
+    def test_oracle_scan_of_the_input_gives_its_rank(self, monkeypatch):
+        # FUzro is the complement of C7: only the oracle answers, on g itself
+        assert write_graph6(co_c7()) == "FUzro"
+
+        def refuse(rows):
+            raise AssertionError("the record eliminated A(g) a second time")
+
+        monkeypatch.setattr(rowspace.harness, "rank", refuse)
+        [record] = run_verification(["FUzro"])
+        assert (record.status, record.strategy, record.rank) == ("ok", "oracle", 7)
+
+    def test_rank_of_a_graph_the_oracle_did_not_scan(self, monkeypatch):
+        # a constructive answer, the oracle off, the oracle on the first
+        # component only (co-C7 beside K2: 7 of rank 9), and on the twin
+        # contraction only: each record eliminates A(g) itself
+        real = rowspace.harness.rank
+        calls = []
+        monkeypatch.setattr(rowspace.harness, "rank", lambda rows: calls.append(len(rows)) or real(rows))
+        lines = [
+            write_graph6(build("cycle", 5)),
+            write_graph6(disjoint_union(co_c7(), build("complete", 2))),
+            write_graph6(multiply_vertices(co_c7(), (2, 1, 1, 1, 1, 1, 1))),
+        ]
+        records = list(run_verification(lines))
+        assert [(r.strategy, r.rank) for r in records] == [
+            ("disjoint-neighborhood", 5), ("oracle", 9), ("lifted", 7),
+        ]
+        assert calls == [5, 9, 8]
+        calls.clear()
+        records = list(run_verification(["FUzro", *lines], oracle_limit=0))
+        assert [r.rank for r in records] == [7, 5, 9, 7]
+        assert calls == [7, 5, 9, 8]
 
     def test_one_ball_expansion_per_record(self, monkeypatch):
         # the record's diameter and diam-ge4, which declines on the wheel

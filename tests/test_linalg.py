@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import echelon_reference
 import fraction_reference as reference
-from conftest import connected_graphs, every_graph, graphs
+from conftest import JOBS, connected_graphs, every_graph, graphs
 from rowspace.families import build
 from rowspace.graph import Graph, multiply_vertices
+from rowspace.harness import parallel_map
 from rowspace.linalg import (
     _bit_vector,
     adjacency_matrix,
@@ -258,6 +259,34 @@ class TestSolveMembership:
         augmented_rank = len(integer_row_echelon(M + [list(x)])[1])
         assert member == (augmented_rank == rank(M))
 
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(max_n=10), st.data())
+    def test_pivots_give_the_rank(self, g, data):
+        # the solve's own pivots, handed out: below column n they count
+        # rank(A), and a pivot at n is exactly a non-member
+        M = adjacency_matrix(g)
+        x = tuple(data.draw(st.integers(0, 1)) for _ in range(g.n))
+        pivots = [-1]
+        cert = solve_membership(M, x, pivots)
+        assert cert == solve_membership(M, x)
+        assert pivots[0] == -1 and pivots[1:] == sorted(pivots[1:])
+        assert sum(pc < g.n for pc in pivots[1:]) == rank(M)
+        assert (g.n in pivots) == (cert is None)
+
+
+def _differential_chunk(items) -> tuple[int, int]:
+    """Solve each graph's witness and its two random vectors with the
+    integer solver and the Fraction reference; the solves and members."""
+    solves = members = 0
+    for g, random_vectors in items:
+        M = adjacency_matrix(g)
+        for x in [find_witness(g).vector, *random_vectors]:
+            cert = solve_membership(M, x)
+            assert cert == reference.solve_membership(M, x), (g.adj, x)
+            solves += 1
+            members += cert is not None
+    return solves, members
+
 
 class TestDifferentialAgainstFractionReference:
     """The integer solver must return the Fraction reference's certificate
@@ -265,18 +294,19 @@ class TestDifferentialAgainstFractionReference:
 
     @pytest.mark.slow
     def test_every_connected_graph_up_to_six(self):
+        # the random vectors are drawn here, graph by graph in generator
+        # order, so that they do not depend on how the work is split
         rng = random.Random(2204_02689)
+        items = [
+            (g, [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(2)])
+            for n in range(2, 7)
+            for g in iter_connected_graphs(n)
+        ]
+        chunks = [items[k * len(items) // 32 : (k + 1) * len(items) // 32] for k in range(32)]
         solves = members = 0
-        for n in range(2, 7):
-            for g in iter_connected_graphs(n):
-                M = adjacency_matrix(g)
-                vectors = [find_witness(g).vector]
-                vectors += [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(2)]
-                for x in vectors:
-                    cert = solve_membership(M, x)
-                    assert cert == reference.solve_membership(M, x), (g.adj, x)
-                    solves += 1
-                    members += cert is not None
+        for chunk_solves, chunk_members in parallel_map(_differential_chunk, chunks, JOBS):
+            solves += chunk_solves
+            members += chunk_members
         assert solves == 3 * 27475
         assert 27475 < members < solves
 

@@ -8,7 +8,8 @@ import rowspace.harness
 import rowspace.oracle
 from conftest import RecordingPool, every_graph, graphs
 from rowspace.families import build
-from rowspace.graph import Graph
+from rowspace.graph import Graph, _kept_rank
+from rowspace.linalg import adjacency_matrix, rank
 from rowspace.oracle import (
     GENERATOR_LIMIT,
     CapacityError,
@@ -84,7 +85,9 @@ class TestFirstCandidateSolve:
     """brute_force_witness, a certificate solve per candidate, against the
     scan-then-solve search (tests/oracle_reference.py): the same vector,
     candidate count and certificate, whether the first candidate settles
-    the graph or later ones are solved for."""
+    the graph or later ones are solved for. The rank it keeps from its
+    solves equals the rank of A(g), whether the last candidate is a member
+    or not, on edgeless and disconnected graphs too."""
 
     @pytest.mark.slow
     def test_every_labeled_graph_up_to_six(self):
@@ -93,6 +96,7 @@ class TestFirstCandidateSolve:
             for g in every_graph(n):
                 result = brute_force_witness(g)
                 assert result == oracle_reference.brute_force_witness(g), g
+                assert _kept_rank(g) == rank(adjacency_matrix(g)), g
                 if result.found and result.candidates_checked == 1:
                     settled += 1
                 else:
@@ -105,6 +109,7 @@ class TestFirstCandidateSolve:
     def test_random_graphs_up_to_twelve(self, g):
         result = brute_force_witness(g)
         assert result == oracle_reference.brute_force_witness(g)
+        assert _kept_rank(g) == rank(adjacency_matrix(g))
         # the search (solve per candidate) and the proof (echelon reduction)
         # share no membership code, yet agree on the first witness and on
         # how many non-row masks lead up to it
