@@ -20,11 +20,13 @@ instance and kept in its ``__dict__``, whose keys only this module names:
 the diametral geodesic, ``_component`` (the first component with an edge,
 which the sweep generator ``oracle._connected_graphs`` hands over from its
 own connectivity test through ``_keep_component``) and the rank of A(g),
-which ``oracle.brute_force_witness`` keeps from its certificate solve
-through ``_keep_rank`` and ``harness.bounded_rank`` reads through
-``_kept_rank``. A graph never changes and ``==``, ``hash`` and ``repr``
-read only ``n`` and ``adj``, so a kept value cannot go stale or make two
-equal graphs differ; a graph built from another (``induced_subgraph``,
+which ``harness.bounded_rank`` reads through ``_kept_rank``.
+``oracle.brute_force_witness`` keeps it from its certificate solve through
+``_keep_rank``, and ``witness.find_witness`` gives a connected g the rank
+its scanned twin contraction kept (twins have equal rows and columns). A
+graph never changes and ``==``, ``hash`` and ``repr`` read only
+``n`` and ``adj``, so a kept value cannot go stale or make two equal
+graphs differ; a graph built from another (``induced_subgraph``,
 ``multiply_vertices``) starts empty, so a component or a twin contraction
 keeps its own rank, never that of the graph it came from.
 

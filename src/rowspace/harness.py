@@ -8,8 +8,10 @@ every status=ok record. The record's diameter and the search's
 ``diam-ge4-path`` read one ball expansion, which the graph keeps (see
 ``rowspace.graph``). The record's rank is read after the search: when the
 oracle scanned the input graph itself, its certificate solve has already
-eliminated A(g) and kept the rank on g; otherwise ``bounded_rank``
-eliminates A(g) once.
+eliminated A(g) and kept the rank on g; when it scanned the twin
+contraction of a connected input, ``find_witness`` kept the contraction's
+rank on g, which is g's own; otherwise ``bounded_rank`` eliminates A(g)
+once.
 
 Statuses: ``ok`` (witness found and verified), ``no-witness-found`` (the
 exhaustive oracle ran and no witness exists -- a counterexample), ``skipped``
@@ -42,8 +44,9 @@ RANK_LIMIT = 256
 
 
 def bounded_rank(g: Graph) -> int | None:
-    """The rank of A(g), or None when n exceeds RANK_LIMIT: the rank the
-    oracle kept on g when it scanned g itself, else its own elimination."""
+    """The rank of A(g), or None when n exceeds RANK_LIMIT: the rank kept
+    on g when the oracle scanned g itself or the twin contraction of a
+    connected g (see ``rowspace.graph``), else its own elimination."""
     if g.n > RANK_LIMIT:
         return None
     kept = _kept_rank(g)

@@ -7,8 +7,10 @@ first certificate is the witness, and each solve's pivots give the rank
 of the adjacency matrix, which it keeps on the graph. This is the
 definitional search: whatever the constructive strategies claim must agree
 with it.
-``enumerate_all_witnesses`` walks the same candidates and reduces each
-against one row-echelon form of the adjacency matrix.
+``enumerate_all_witnesses`` lists every witness. It scans the twin
+contraction, whose witnesses block-repeat to the graph's, and lists every
+non-row of a nonsingular contraction unreduced; a singular one's non-rows
+are reduced against one echelon form.
 
 ``exhaustive_verify`` runs the full engine (constructive strategies with
 oracle fallback at the default bound) over every labeled connected graph
@@ -24,11 +26,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .graph import Graph, _keep_component, _keep_rank, reachable
+from .graph import Graph, _keep_component, _keep_rank, induced_subgraph, reachable
 from .graph6 import write_graph6
 from .harness import parallel_map, worker_count
 from .linalg import _bit_vector, adjacency_matrix, integer_row_echelon, solve_membership
-from .witness import DEFAULT_ORACLE_LIMIT, Strategy, Witness, check_oracle_limit, find_witness
+from .witness import (
+    DEFAULT_ORACLE_LIMIT,
+    Strategy,
+    Witness,
+    _repeat,
+    _twin_classes,
+    check_oracle_limit,
+    find_witness,
+)
 
 GENERATOR_LIMIT = 7
 
@@ -68,13 +78,12 @@ def _reduces_to_zero(echelon: list[list[int]], pivots: list[int], x: list[int]) 
     return not any(y)
 
 
-def _adjacency_rows(g: Graph, limit: int) -> list[list[int]]:
-    """A(g) for a scan, once the bound allows it: ValueError for a limit
-    outside 0..MAX_ORACLE_LIMIT, CapacityError for n above the limit."""
+def _check_order(g: Graph, limit: int) -> None:
+    """The bound on a scan of g: ValueError for a limit outside
+    0..MAX_ORACLE_LIMIT, CapacityError for n above the limit."""
     check_oracle_limit(limit)
     if g.n > limit:
         raise CapacityError(f"n={g.n} exceeds the oracle bound {limit}")
-    return adjacency_matrix(g)
 
 
 def brute_force_witness(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> OracleResult:
@@ -86,7 +95,8 @@ def brute_force_witness(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> OracleRe
     candidate always exists: a lone vertex's row is 0, and from n = 2 on n
     rows are fewer than the 2^n - 1 non-zero masks.
     """
-    rows = _adjacency_rows(g, limit)
+    _check_order(g, limit)
+    rows = adjacency_matrix(g)
     row_masks = set(g.adj)
     checked = 0
     for mask in range(1, 1 << g.n):
@@ -103,17 +113,27 @@ def brute_force_witness(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> OracleRe
 
 
 def enumerate_all_witnesses(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> list[tuple[int, ...]]:
-    """Every qualifying (0,1)-vector, in ascending binary order."""
-    echelon, pivots = integer_row_echelon(_adjacency_rows(g, limit))
-    row_masks = set(g.adj)
-    witnesses: list[tuple[int, ...]] = []
-    for mask in range(1, 1 << g.n):
-        if mask in row_masks:
-            continue
-        x = _bit_vector(mask, g.n)
-        if _reduces_to_zero(echelon, pivots, x):
-            witnesses.append(tuple(x))
-    return witnesses
+    """Every qualifying (0,1)-vector of g, in g's ascending binary order;
+    CapacityError when g.n > limit, whatever the contraction's order.
+
+    The scan runs on the twin contraction h, one vertex per class of
+    ``witness._twin_classes`` over all of g (the isolated vertices form
+    one class). Twins have equal rows, so g's witnesses are the block
+    repeats (``witness._repeat``) of h's, sorted into g's order. When A(h)
+    is nonsingular every non-row of h is a member; otherwise each is
+    reduced against the echelon form of A(h).
+    """
+    _check_order(g, limit)
+    classes = _twin_classes(g, (1 << g.n) - 1)
+    h = g if len(classes) == g.n else induced_subgraph(g, [c[0] for c in classes])
+    echelon, pivots = integer_row_echelon(adjacency_matrix(h))
+    row_masks = set(h.adj)
+    candidates = (_bit_vector(mask, h.n) for mask in range(1, 1 << h.n) if mask not in row_masks)
+    if len(pivots) < h.n:
+        candidates = (x for x in candidates if _reduces_to_zero(echelon, pivots, x))
+    if h is g:
+        return list(map(tuple, candidates))
+    return sorted((tuple(_repeat(x, classes, g.n)) for x in candidates), key=lambda v: v[::-1])
 
 
 def _edge_pairs(n: int) -> list[tuple[int, int]]:

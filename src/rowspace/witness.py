@@ -45,6 +45,8 @@ from .graph import (
     Graph,
     _clone_blocks,
     _component,
+    _keep_rank,
+    _kept_rank,
     diametral_geodesic,
     find_adjacent_disjoint_pair,
     induced_subgraph,
@@ -246,17 +248,25 @@ def witness_catalog_rank5(g: Graph) -> StrategyOutcome:
     return StrategyOutcome(_witness(*pinned, Strategy.CATALOG_RANK5))
 
 
-def _embed(w: Witness, classes, n: int, strategy: Strategy) -> Witness:
-    """Carry a witness to an n-vertex graph. Entry k of the vector repeats on
-    every vertex of ``classes[k]``; its coefficient rides on the first vertex
-    of the class, and every other vertex gets 0."""
+def _repeat(values, classes, n: int) -> list[int]:
+    """The block repeat, the one way a vector moves to a larger graph (for
+    ``_embed`` and ``oracle.enumerate_all_witnesses``): entry k of
+    ``values`` on every vertex of ``classes[k]``, 0 on the others."""
     vector = [0] * n
-    coeffs = [_ZERO] * n
-    for x, c, members in zip(w.vector, w.certificate.coefficients, classes, strict=True):
+    for x, members in zip(values, classes, strict=True):
         for v in members:
             vector[v] = x
+    return vector
+
+
+def _embed(w: Witness, classes, n: int, strategy: Strategy) -> Witness:
+    """Carry a witness to an n-vertex graph. The vector is block-repeated
+    over ``classes`` (``_repeat``); the coefficient of entry k rides on the
+    first vertex of ``classes[k]``, and every other vertex gets 0."""
+    coeffs = [_ZERO] * n
+    for c, members in zip(w.certificate.coefficients, classes, strict=True):
         coeffs[members[0]] = c
-    return _witness(vector, coeffs, strategy)
+    return _witness(_repeat(w.vector, classes, n), coeffs, strategy)
 
 
 def lift_witness(g: Graph, m, w: Witness) -> Witness:
@@ -295,9 +305,10 @@ def _constructive(g: Graph) -> Witness | None:
 
 
 def _twin_classes(g: Graph, component: int) -> list[list[int]]:
-    """Twin classes (equal neighborhoods) of a component, in g's labels and
-    in order of smallest member. Twins are never adjacent, so one vertex per
-    class induces the component's twin contraction, which is reduced."""
+    """Twin classes (equal neighborhoods) of the vertices in ``component``,
+    a component or all of g, in g's labels and in order of smallest member.
+    Twins are never adjacent, so one vertex per class induces the twin
+    contraction, which is reduced."""
     classes: dict[int, list[int]] = {}
     for v in iter_bits(component):
         classes.setdefault(g.adj[v], []).append(v)
@@ -316,11 +327,14 @@ def find_witness(g: Graph, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> Witness 
     is conclusive exactly when the oracle scanned (see ``oracle_declines``).
     The witness is embedded into g in one step (``lifted`` when it came from
     the contraction) and checked once, on g. ValueError for an oracle limit
-    outside 0..MAX_ORACLE_LIMIT.
+    outside 0..MAX_ORACLE_LIMIT. A connected g keeps the rank of the twin
+    contraction the oracle scanned; a disconnected g's other components
+    count too, so it keeps none.
     """
     check_oracle_limit(oracle_limit)
     component = _component(g)
-    h = g if component == (1 << g.n) - 1 else induced_subgraph(g, list(iter_bits(component)))
+    connected = component == (1 << g.n) - 1
+    h = g if connected else induced_subgraph(g, list(iter_bits(component)))
     classes = None
     w = _constructive(h)
     if w is None:
@@ -335,6 +349,9 @@ def find_witness(g: Graph, oracle_limit: int = DEFAULT_ORACLE_LIMIT) -> Witness 
         from .oracle import brute_force_witness
 
         w = brute_force_witness(h, limit=oracle_limit).witness
+        if connected and h is not g:
+            # twins have equal rows and equal columns: rank(A(g)) = rank(A(h))
+            _keep_rank(g, _kept_rank(h))
         if w is None:
             return None
     found = w

@@ -121,11 +121,12 @@ class ScanRecorder:
         return OracleResult(None, 0)
 
 
-def every_graph(n: int):
+def every_graph(n: int, start: int = 0, stop: int | None = None):
     """Every labeled graph on n vertices, edgeless and disconnected ones too,
-    through the validating constructor."""
+    through the validating constructor; with ``start`` and ``stop``, those
+    of the edge masks in that range."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for mask in range(1 << len(pairs)):
+    for mask in range(start, 1 << len(pairs) if stop is None else stop):
         adj = [0] * n
         for b, (i, j) in enumerate(pairs):
             if (mask >> b) & 1:

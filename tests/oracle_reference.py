@@ -6,6 +6,11 @@ form of A(g), the ascending scan that skips rows and reduces every other
 candidate against it, then one solve for the first member. The library's
 version, a solve per candidate, must return the same vector, candidate
 count and certificate.
+
+``enumerate_all_witnesses`` is the same scan run to the end on g itself:
+all 2^n masks, each non-row reduced. The library scans the twin
+contraction and skips the reduction when it is nonsingular, so this is the
+side of the blow-up law that does not rely on that law.
 """
 
 from __future__ import annotations
@@ -59,3 +64,8 @@ def brute_force_witness(g: Graph) -> OracleResult:
         raise RuntimeError("echelon reduction and exact solve disagree")
     witness = Witness(vector, cert, Strategy.ORACLE)
     return OracleResult(witness, checked)
+
+
+def enumerate_all_witnesses(g: Graph) -> list[tuple[int, ...]]:
+    """Every witness of g in ascending binary order, by the 2^n scan."""
+    return [x for _, x in _scan(g, adjacency_matrix(g)) if x is not None]

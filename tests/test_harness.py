@@ -153,27 +153,40 @@ class TestRunVerification:
         [record] = run_verification(["FUzro"])
         assert (record.status, record.strategy, record.rank) == ("ok", "oracle", 7)
 
+    def test_oracle_scan_of_the_contraction_gives_its_rank(self, monkeypatch):
+        # a co-C7 vertex doubled: the oracle scans the contraction, co-C7,
+        # whose rank is g's, since twins have equal rows and columns
+        def refuse(rows):
+            raise AssertionError("the record eliminated A(g) a second time")
+
+        monkeypatch.setattr(rowspace.harness, "rank", refuse)
+        g = multiply_vertices(co_c7(), (2, 1, 1, 1, 1, 1, 1))
+        [record] = run_verification([write_graph6(g)])
+        assert (record.status, record.strategy, record.rank) == ("ok", "lifted", 7)
+
     def test_rank_of_a_graph_the_oracle_did_not_scan(self, monkeypatch):
         # a constructive answer, the oracle off, the oracle on the first
         # component only (co-C7 beside K2: 7 of rank 9), and on the twin
-        # contraction only: each record eliminates A(g) itself
+        # contraction of the first component only (doubled co-C7 beside
+        # K2): each record eliminates A(g) itself
         real = rowspace.harness.rank
         calls = []
         monkeypatch.setattr(rowspace.harness, "rank", lambda rows: calls.append(len(rows)) or real(rows))
+        doubled = multiply_vertices(co_c7(), (2, 1, 1, 1, 1, 1, 1))
         lines = [
             write_graph6(build("cycle", 5)),
             write_graph6(disjoint_union(co_c7(), build("complete", 2))),
-            write_graph6(multiply_vertices(co_c7(), (2, 1, 1, 1, 1, 1, 1))),
+            write_graph6(disjoint_union(doubled, build("complete", 2))),
         ]
         records = list(run_verification(lines))
         assert [(r.strategy, r.rank) for r in records] == [
-            ("disjoint-neighborhood", 5), ("oracle", 9), ("lifted", 7),
+            ("disjoint-neighborhood", 5), ("oracle", 9), ("lifted", 9),
         ]
-        assert calls == [5, 9, 8]
+        assert calls == [5, 9, 10]
         calls.clear()
-        records = list(run_verification(["FUzro", *lines], oracle_limit=0))
-        assert [r.rank for r in records] == [7, 5, 9, 7]
-        assert calls == [7, 5, 9, 8]
+        records = list(run_verification(["FUzro", write_graph6(doubled), *lines], oracle_limit=0))
+        assert [r.rank for r in records] == [7, 7, 5, 9, 9]
+        assert calls == [7, 8, 5, 9, 10]
 
     def test_one_ball_expansion_per_record(self, monkeypatch):
         # the record's diameter and diam-ge4, which declines on the wheel

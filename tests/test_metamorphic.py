@@ -8,6 +8,7 @@ answer for the original one, so no reference witness is needed.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_reference
 from conftest import connected_graphs, disjoint_union, graphs
 from rowspace.graph import Graph, induced_subgraph, is_reduced
 from rowspace.graph6 import write_graph6
@@ -18,7 +19,8 @@ from rowspace.witness import find_witness, verify_witness
 def test_blowup_witnesses_are_block_repeats():
     # Every witness of a blow-up repeats a witness of its twin contraction
     # over the twin classes, and every such repeat is one: this is why the
-    # search on the contraction is final.
+    # search on the contraction is final. The library's enumeration relies
+    # on this law, so g's side comes from the reference's 2^n scan.
     count = 0
     for n in range(2, 7):
         for g in iter_connected_graphs(n):
@@ -37,7 +39,7 @@ def test_blowup_witnesses_are_block_repeats():
                     for v in grp:
                         y[v] = value
                 repeats.add(tuple(y))
-            assert set(enumerate_all_witnesses(g)) == repeats, write_graph6(g)
+            assert set(oracle_reference.enumerate_all_witnesses(g)) == repeats, write_graph6(g)
     assert count == 8622
 
 

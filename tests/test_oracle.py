@@ -2,13 +2,15 @@ import os
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle_reference
 import rowspace.harness
 import rowspace.oracle
-from conftest import RecordingPool, every_graph, graphs
+from conftest import JOBS, RecordingPool, every_graph, graphs, multiplicities
 from rowspace.families import build
-from rowspace.graph import Graph, _kept_rank
+from rowspace.graph import Graph, _kept_rank, is_reduced, multiply_vertices
+from rowspace.harness import parallel_map
 from rowspace.linalg import adjacency_matrix, rank
 from rowspace.oracle import (
     GENERATOR_LIMIT,
@@ -81,6 +83,23 @@ class TestBruteForce:
         )
 
 
+def _first_candidate_chunk(args: tuple[int, int, int]) -> tuple[int, int]:
+    """brute_force_witness against the reference on the labeled n-vertex
+    graphs of one edge-mask range; the graphs whose first candidate is the
+    witness, and the others."""
+    n, start, stop = args
+    settled = fallbacks = 0
+    for g in every_graph(n, start, stop):
+        result = brute_force_witness(g)
+        assert result == oracle_reference.brute_force_witness(g), g
+        assert _kept_rank(g) == rank(adjacency_matrix(g)), g
+        if result.found and result.candidates_checked == 1:
+            settled += 1
+        else:
+            fallbacks += 1
+    return settled, fallbacks
+
+
 class TestFirstCandidateSolve:
     """brute_force_witness, a certificate solve per candidate, against the
     scan-then-solve search (tests/oracle_reference.py): the same vector,
@@ -91,16 +110,12 @@ class TestFirstCandidateSolve:
 
     @pytest.mark.slow
     def test_every_labeled_graph_up_to_six(self):
-        settled = fallbacks = 0
-        for n in range(1, 7):
-            for g in every_graph(n):
-                result = brute_force_witness(g)
-                assert result == oracle_reference.brute_force_witness(g), g
-                assert _kept_rank(g) == rank(adjacency_matrix(g)), g
-                if result.found and result.candidates_checked == 1:
-                    settled += 1
-                else:
-                    fallbacks += 1
+        # one chunk per n <= 5, and the 2^15 edge masks of n = 6 in 32
+        chunks = [(n, 0, 1 << n * (n - 1) // 2) for n in range(1, 6)]
+        bounds = [(1 << 15) * k // 32 for k in range(33)]
+        chunks += [(6, a, b) for a, b in zip(bounds, bounds[1:])]
+        counts = list(parallel_map(_first_candidate_chunk, chunks, JOBS))
+        settled, fallbacks = map(sum, zip(*counts))
         # 2^0 + 2^1 + 2^3 + 2^6 + 2^10 + 2^15 graphs, both paths well used
         assert (settled, fallbacks) == (22_831, 11_036)
 
@@ -139,6 +154,25 @@ class TestEnumerate:
         with pytest.raises(CapacityError):
             enumerate_all_witnesses(build("cycle", 5), limit=4)
 
+    def test_bound_is_on_the_input_order(self):
+        # n = 18, though its twin contraction is K2
+        with pytest.raises(CapacityError):
+            enumerate_all_witnesses(multiply_vertices(build("complete", 2), [9, 9]))
+
+    def test_nonsingular_contraction_needs_no_reduction(self, monkeypatch):
+        # C4 contracts to K2; K2, C5 and Petersen are nonsingular, so every
+        # non-row is listed as it is. P5 and C8 are singular: every one of
+        # their 2^n - 1 - n non-rows is reduced.
+        real = rowspace.oracle._reduces_to_zero
+        calls = []
+        monkeypatch.setattr(rowspace.oracle, "_reduces_to_zero", lambda *a: calls.append(a) or real(*a))
+        counts = []
+        for g in (build("cycle", 4), build("cycle", 5), build("petersen"), build("path", 5), build("cycle", 8)):
+            calls.clear()
+            enumerate_all_witnesses(g)
+            counts.append(len(calls))
+        assert counts == [0, 0, 0, 26, 247]
+
     def test_ascending_binary_order(self):
         out = enumerate_all_witnesses(build("path", 4))
         keys = [sum(b << i for i, b in enumerate(v)) for v in out]
@@ -151,6 +185,33 @@ class TestEnumerate:
         w = find_witness(g, oracle_limit=0)
         if w is not None:
             assert w.vector in found
+
+
+class TestEnumerateAgainstReference:
+    """The library scans the twin contraction and lists a nonsingular one's
+    non-rows unreduced; the reference (tests/oracle_reference.py) reduces
+    every non-row mask of g itself. The lists must be equal, order included."""
+
+    def test_every_labeled_graph_up_to_five(self):
+        # edgeless, disconnected, isolated vertices and twins included
+        for n in range(1, 6):
+            for g in every_graph(n):
+                assert enumerate_all_witnesses(g) == oracle_reference.enumerate_all_witnesses(g), g
+
+    def test_connected_graphs_with_twins_up_to_six(self):
+        count = 0
+        for n in range(2, 7):
+            for g in iter_connected_graphs(n):
+                if not is_reduced(g):
+                    count += 1
+                    assert enumerate_all_witnesses(g) == oracle_reference.enumerate_all_witnesses(g), g
+        assert count == 8622
+
+    @settings(max_examples=40, deadline=None)
+    @given(graphs(min_n=1, max_n=6), st.data())
+    def test_blowups_up_to_twelve(self, g, data):
+        blown = multiply_vertices(g, data.draw(multiplicities(g.n, cap=2)))
+        assert enumerate_all_witnesses(blown) == oracle_reference.enumerate_all_witnesses(blown)
 
 
 class TestExhaustive:

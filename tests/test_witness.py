@@ -15,20 +15,24 @@ import rowspace.witness
 from conftest import (
     ScanRecorder,
     co_c7,
+    connected_graphs,
     disjoint_union,
     graphs,
     long_diameter_graphs,
+    multiplicities,
     oracle_geodesic,
 )
 from rowspace.families import build
 from rowspace.graph import (
     Graph,
+    _kept_rank,
     diameter,
     diametral_geodesic,
     duplicate_vertex,
+    is_reduced,
     multiply_vertices,
 )
-from rowspace.linalg import MembershipCertificate, adjacency_matrix, solve_membership
+from rowspace.linalg import MembershipCertificate, adjacency_matrix, rank, solve_membership
 from rowspace.oracle import OracleResult, iter_connected_graphs
 from rowspace.witness import (
     MAX_ORACLE_LIMIT,
@@ -410,6 +414,19 @@ class TestSearchEnd:
                 assert len(recorder.scanned) <= 1
                 assert (oracle_declines(g, limit) is None) == bool(recorder.scanned)
         assert count == 1094
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(min_n=2, max_n=6), st.data())
+def test_connected_graph_keeps_its_contractions_rank(base, data):
+    # with no constructive strategy, the oracle scans the twin contraction,
+    # and the rank it keeps there is the rank of A(g)
+    g = multiply_vertices(base, data.draw(multiplicities(base.n)))
+    assume(not is_reduced(g))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rowspace.witness, "_CONSTRUCTIVE", ())
+        find_witness(g)
+    assert _kept_rank(g) == rank(adjacency_matrix(g))
 
 
 def _row_instead(w: Witness, g: Graph) -> Witness:
